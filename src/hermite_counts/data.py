@@ -26,7 +26,11 @@ class CountHistogram:
     def __post_init__(self) -> None:
         pairs = []
         for count, freq in self.bins:
-            if count != int(count) or freq != int(freq):
+            try:
+                integral = count == int(count) and freq == int(freq)
+            except (OverflowError, ValueError):  # int() of inf or nan
+                integral = False
+            if not integral:
                 raise DataError("histogram entries must be integers")
             count, freq = int(count), int(freq)
             if count < 0:

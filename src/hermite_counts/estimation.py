@@ -2,9 +2,9 @@
 
 The feasible set is the non-negative orthant in the exponent coefficients,
 so the optimizer is projected gradient ascent (spectral trial steps, Armijo
-backtracking): the analytic gradient costs one pmf recurrence, the
-projection is a clamp, and second-order machinery adds nothing at these
-orders.
+backtracking): each trial point costs one pmf recurrence, the accepted
+trial's table also yields the next gradient, the projection is a clamp,
+and second-order machinery adds nothing at these orders.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CountHistogram
-from .errors import DataError, DomainError, OverflowGuard
+from .errors import DataError, DomainError
 from .model import (
     FactorialCumulants,
     HermiteParams,
     _coeffs_from_factorial_cumulants,
 )
-from .pmf import log_likelihood, loglik_gradient
+from .pmf import _gradient, _loglik, _scaled_pmf, log_likelihood
 
 #: Armijo line-search constants: sufficient-increase slope and step shrink.
 _ARMIJO_SLOPE = 1e-4
@@ -129,17 +129,17 @@ def mle_iterates(
     or ``max_iter`` accepted steps have been taken.
     """
     a = np.array(init.a, dtype=float)
-    loglik = log_likelihood(HermiteParams(tuple(a)), hist)
+    table = _scaled_pmf(a.tolist(), hist.max_count)
+    loglik = _loglik(*table, hist)
     if not math.isfinite(loglik):
         raise DomainError("initial point has zero likelihood; choose a feasible start")
     step = 1.0
     prev_a: np.ndarray | None = None
     prev_grad: np.ndarray | None = None
     for taken in range(max_iter + 1):
-        params = HermiteParams(tuple(a))
-        grad = loglik_gradient(params, hist)
+        grad = _gradient(*table, hist, len(a))
         gnorm = float(np.linalg.norm(_projected_gradient(a, grad)))
-        yield params, loglik, gnorm
+        yield HermiteParams(tuple(a)), loglik, gnorm
         if gnorm <= tol * (1.0 + abs(loglik)) or taken == max_iter:
             return
         # Spectral (Barzilai-Borwein) trial step: plain steepest ascent
@@ -157,10 +157,8 @@ def mle_iterates(
         # the projected arc; the reference direction is the raw gradient.
         while True:
             cand = _project(a + alpha * grad)
-            try:
-                cand_ll = log_likelihood(HermiteParams(tuple(cand)), hist)
-            except OverflowGuard:
-                cand_ll = float("-inf")  # trial step left the computable region
+            cand_table = _scaled_pmf(cand.tolist(), hist.max_count)
+            cand_ll = _loglik(*cand_table, hist)
             gain_floor = _ARMIJO_SLOPE * float(grad @ (cand - a))
             if math.isfinite(cand_ll) and cand_ll >= loglik + gain_floor:
                 break
@@ -169,7 +167,7 @@ def mle_iterates(
                 return  # stalled: no representable step improves the objective
         if np.array_equal(cand, a):
             return  # step rounded to no movement
-        a, loglik, step = cand, cand_ll, alpha
+        a, loglik, step, table = cand, cand_ll, alpha, cand_table
 
 
 def fit_mle(

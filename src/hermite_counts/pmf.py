@@ -4,9 +4,10 @@ Probabilities follow the Panjer-style recurrence
 
     k * p_k = sum_{i=1..r} i * a_i * p_{k-i},      p_0 = exp(-sum_i a_i),
 
-with p_{-1} = ... = p_{1-r} = 0.  Everything is evaluated in linear space;
-p_0 underflows once sum_i a_i exceeds roughly 745, so a hard guard rejects
-rates above RATE_GUARD before that happens.
+with p_{-1} = ... = p_{1-r} = 0.  No term is negative, so nothing cancels.
+One engine evaluates it for every table, likelihood and gradient at any
+total rate by storing p_k = m_k * 2**e_k; its exponent shifts are exact,
+so wherever the plain recurrence stays normal it yields the same bits.
 """
 
 from __future__ import annotations
@@ -17,17 +18,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CountHistogram
-from .errors import DomainError, IterationCap, OverflowGuard
+from .errors import DomainError, IterationCap
 from .model import HermiteParams
-
-#: Largest admissible sum of coefficients; beyond this exp(-sum) underflows.
-RATE_GUARD = 700.0
 
 #: Hard cap on adaptive table length.
 MAX_TABLE_LEN = 10**7
 
 #: Initial table length for adaptive truncation; grown by doubling.
 ADAPTIVE_START = 64
+
+#: Mantissas stay in [2**-_SHIFT, 2**_SHIFT], far from both ends of the double range.
+_SHIFT = 600
+
+#: Cody-Waite split of ln 2: _LN2_HI has 32 significant bits, so n * _LN2_HI is
+#: exact for |n| < 2**21 (rates up to 1.45e6); beyond, p_0 is off by ~ulp(rate).
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,79 +81,98 @@ class PmfTable:
         return PmfTable(self.probs[: k_max + 1])
 
 
-def _check_rate(params: HermiteParams) -> float:
-    lam = params.total_rate
-    if lam > RATE_GUARD:
-        raise OverflowGuard(
-            f"sum of coefficients {lam} exceeds {RATE_GUARD}; p_0 would underflow"
-        )
-    return lam
+def _scaled_pmf(a: tuple[float, ...] | list[float], k_max: int) -> tuple[list[float], list[int]]:
+    """p_0..p_{k_max} for coefficients ``a`` as p_k = m[k] * 2**e[k].
 
-
-def _recurrence(a: tuple[float, ...], p0: float, k_max: int) -> list[float]:
-    r = len(a)
-    p = [0.0] * (k_max + 1)
-    p[0] = p0
+    p_0 = exp(-lam) while that is a normal double; a larger lam moves into
+    the exponent in multiples n of ln 2, and x - n * _LN2_HI below is exact
+    by Sterbenz's lemma, so only n * _LN2_LO is rounded.  The r mantissas
+    a step reads share one exponent; they shift when the newest is above
+    2**_SHIFT, or when all are below 2**-_SHIFT but not all zero (gaps).
+    """
+    x, exp = -math.fsum(a), 0
+    while abs(x) > 708.0:
+        n = round(x / _LN2_HI)
+        x, exp = (x - n * _LN2_HI) - n * _LN2_LO, exp + n
+    coeffs = [i * c for i, c in enumerate(a, start=1)]
+    r = len(coeffs)
+    m = [math.exp(x)] + [0.0] * k_max
+    e = [exp] * (k_max + 1)
+    hi, lo = 2.0**_SHIFT, 2.0**-_SHIFT
     for k in range(1, k_max + 1):
+        top = m[k - 1]
+        if top > hi or (top < lo and 0.0 < max(m[max(k - r, 0) : k]) < lo):
+            shift = _SHIFT if top > hi else -_SHIFT
+            for j in range(max(k - r, 0), k):
+                m[j] = math.ldexp(m[j], -shift)
+                e[j] += shift
+            exp += shift
         acc = 0.0
-        for i in range(1, min(r, k) + 1):
-            acc += i * a[i - 1] * p[k - i]
-        p[k] = acc / k
-    return p
+        for i in range(min(r, k)):
+            acc += coeffs[i] * m[k - 1 - i]
+        m[k] = acc / k
+        e[k] = exp
+    return m, e
 
 
 def pmf_table(params: HermiteParams, k_max: int) -> PmfTable:
     """Exact probabilities p_0..p_{k_max} by the recurrence above."""
     if k_max < 0:
         raise DomainError(f"k_max must be non-negative, got {k_max}")
-    lam = _check_rate(params)
-    return PmfTable(np.array(_recurrence(params.a, math.exp(-lam), int(k_max))))
+    m, e = _scaled_pmf(params.a, int(k_max))
+    # Any exponent below -2000 underflows; clipping keeps them all in int64.
+    return PmfTable(np.ldexp(m, np.maximum(np.array(e, dtype=float), -2000.0).astype(np.int64)))
 
 
 def adaptive_pmf(params: HermiteParams, eps: float) -> PmfTable:
     """Smallest table whose tail mass is below ``eps``.
 
-    The table is grown by doubling from ADAPTIVE_START entries and trimmed
-    back to the first index where the accumulated mass exceeds 1 - eps.
+    Tables of ADAPTIVE_START, twice as many, ... entries are tried until one
+    holds more than 1 - eps; it is then trimmed back to the first index
+    where the accumulated mass exceeds 1 - eps.
     """
     eps = float(eps)
     if not (0.0 < eps < 1.0):
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    lam = _check_rate(params)
-    a = params.a
-    r = len(a)
-
-    p = [math.exp(-lam)]
-    # Neumaier running sum of p, recorded per entry to locate the trim point.
-    total, comp = p[0], 0.0
-    cums = [total]
     size = ADAPTIVE_START
-    while True:
-        if cums[-1] > 1.0 - eps:
-            k_stop = next(k for k, c in enumerate(cums) if c > 1.0 - eps)
-            # The running sum and the table's fsum-based tail can disagree by
-            # an ulp; certify against the authoritative field, nudging right.
-            while k_stop < len(p):
-                table = PmfTable(np.array(p[: k_stop + 1]))
-                if table.tail_mass < eps:
-                    return table
-                k_stop += 1
-        if size > MAX_TABLE_LEN:
-            raise IterationCap(f"tail mass still >= {eps} at table length {MAX_TABLE_LEN}")
-        for k in range(len(p), size + 1):
-            acc = 0.0
-            for i in range(1, min(r, k) + 1):
-                acc += i * a[i - 1] * p[k - i]
-            pk = acc / k
-            p.append(pk)
-            t = total + pk
-            if abs(total) >= abs(pk):
-                comp += (total - t) + pk
-            else:
-                comp += (pk - t) + total
-            total = t
-            cums.append(total + comp)
+    while size <= MAX_TABLE_LEN:
+        table = pmf_table(params, size)
+        if table.tail_mass < eps:
+            # Estimated tail after each index (entries summed from the small
+            # end); the fsum-based tail_mass of the cut decides the last ulp.
+            beyond = np.append(np.cumsum(table.probs[:0:-1])[::-1], 0.0)
+            k = int(np.argmax(table.tail_mass + beyond < eps))
+            while (cut := table.truncate(k)).tail_mass >= eps:
+                k += 1
+            return cut
         size *= 2
+    raise IterationCap(f"tail mass still >= {eps} at table length {MAX_TABLE_LEN}")
+
+
+def _loglik(m: list[float], e: list[int], hist: CountHistogram) -> float:
+    terms = []
+    for count, freq in hist.bins:
+        mk = m[count]
+        if mk <= 0.0:
+            return float("-inf")
+        terms.append(freq * (math.log(mk) + e[count] * _LN2_HI + e[count] * _LN2_LO))
+    return math.fsum(terms)
+
+
+def _gradient(m: list[float], e: list[int], hist: CountHistogram, r: int) -> np.ndarray:
+    grad = np.empty(r)
+    for j in range(1, r + 1):
+        terms = []
+        for count, freq in hist.bins:
+            mk = m[count]
+            if mk <= 0.0:
+                raise DomainError(
+                    f"observed count {count} has zero probability; gradient undefined"
+                )
+            ratio = math.ldexp(m[count - j] / mk, e[count - j] - e[count]) if count >= j else 0.0
+            terms.append(freq * (ratio - 1.0))
+        grad[j - 1] = math.fsum(terms)
+    return grad
 
 
 def log_likelihood(params: HermiteParams, hist: CountHistogram) -> float:
@@ -158,15 +182,7 @@ def log_likelihood(params: HermiteParams, hist: CountHistogram) -> float:
     some counts), distinguished from errors so optimizers can treat the
     point as infeasible.
     """
-    table = pmf_table(params, hist.max_count)
-    probs = table.probs
-    terms = []
-    for count, freq in hist.bins:
-        pk = probs[count]
-        if pk <= 0.0:
-            return float("-inf")
-        terms.append(freq * math.log(pk))
-    return math.fsum(terms)
+    return _loglik(*_scaled_pmf(params.a, hist.max_count), hist)
 
 
 def loglik_gradient(params: HermiteParams, hist: CountHistogram) -> np.ndarray:
@@ -175,19 +191,4 @@ def loglik_gradient(params: HermiteParams, hist: CountHistogram) -> np.ndarray:
     d p_k / d a_j = p_{k-j} [k >= j] - p_k, hence
     d l / d a_j = sum_k n_k (p_{k-j}/p_k - 1).
     """
-    table = pmf_table(params, hist.max_count)
-    probs = table.probs
-    r = params.order
-    grad = np.empty(r)
-    for j in range(1, r + 1):
-        terms = []
-        for count, freq in hist.bins:
-            pk = probs[count]
-            if pk <= 0.0:
-                raise DomainError(
-                    f"observed count {count} has zero probability; gradient undefined"
-                )
-            ratio = probs[count - j] / pk if count >= j else 0.0
-            terms.append(freq * (ratio - 1.0))
-        grad[j - 1] = math.fsum(terms)
-    return grad
+    return _gradient(*_scaled_pmf(params.a, hist.max_count), hist, params.order)

@@ -49,6 +49,13 @@ class TestPmfCommand:
         tail = float(out.strip().splitlines()[-1].split(",")[1])
         assert tail < 1e-9
 
+    @pytest.mark.parametrize("rate", [750.0, 2e5])
+    def test_eps_mode_at_rates_where_exp_underflows(self, tmp_path, capsys, rate):
+        model = write_model(tmp_path, order=1, a=[rate])
+        code, out, _ = run_cli(capsys, "pmf", model, "--eps", "1e-12")
+        assert code == 0
+        assert float(out.strip().splitlines()[-1].split(",")[1]) < 1e-12
+
     def test_negative_coefficient_is_domain_error(self, tmp_path, capsys):
         model = write_model(tmp_path, order=1, a=[-1.0])
         code, _, err = run_cli(capsys, "pmf", model, "--k-max", "3")
@@ -81,6 +88,30 @@ class TestFitCommand:
         assert doc["a"][0] == pytest.approx(sum(values) / len(values), rel=1e-9)
         assert doc["converged"] is True
         assert doc["method"] == "mle"
+
+    def test_sample_fit_round_trip_at_large_rates(self, tmp_path, capsys):
+        model = write_model(tmp_path, order=2, a=[600.0, 150.0])
+        _, out, _ = run_cli(capsys, "sample", model, "--n", "2000", "--seed", "5")
+        values = [int(v) for v in out.split()]
+        data = tmp_path / "counts.txt"
+        data.write_text(out)
+        code, out, _ = run_cli(capsys, "fit", str(data), "--order", "2")
+        assert code == 0
+        a = json.loads(out)["a"]
+        mean = sum(values) / len(values)
+        assert abs(a[0] + 2 * a[1] - mean) <= 1e-8 * mean
+
+    @pytest.mark.parametrize("outlier", [1000, 20000])
+    @pytest.mark.parametrize(
+        "command", [["fit", "--order", "2"], ["select", "--r-max", "3"]], ids=["fit", "select"]
+    )
+    def test_single_far_outlier(self, tmp_path, capsys, command, outlier):
+        model = write_model(tmp_path, order=2, a=[1.0, 0.5])
+        _, out, _ = run_cli(capsys, "sample", model, "--n", "4999", "--seed", "8")
+        data = tmp_path / "counts.txt"
+        data.write_text(out + f"{outlier}\n")
+        code, _, err = run_cli(capsys, command[0], str(data), *command[1:])
+        assert code == 0, err
 
     def test_moments_agrees_for_poisson(self, tmp_path, capsys):
         data = tmp_path / "counts.txt"

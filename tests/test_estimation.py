@@ -39,6 +39,13 @@ class TestCountHistogram:
         with pytest.raises(DataError):
             CountHistogram.from_mapping({1: 0})
 
+    @pytest.mark.parametrize(
+        "entry", [(1.5, 1), (2, 0.5), (math.inf, 1), (2, math.inf), (math.nan, 1)], ids=str
+    )
+    def test_non_integer_entry_rejected(self, entry):
+        with pytest.raises(DataError):
+            CountHistogram((entry,))
+
     def test_huge_count_rejected(self):
         with pytest.raises(DataError):
             CountHistogram.from_mapping({10**6 + 1: 1})

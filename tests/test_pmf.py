@@ -11,7 +11,6 @@ from hermite_counts import (
     DomainError,
     HermiteParams,
     IterationCap,
-    OverflowGuard,
     adaptive_pmf,
     log_likelihood,
     loglik_gradient,
@@ -64,9 +63,13 @@ class TestPmfTable:
         with pytest.raises(DomainError):
             pmf_table(HermiteParams((1.0,)), -1)
 
-    def test_overflow_guard(self):
-        with pytest.raises(OverflowGuard):
-            pmf_table(HermiteParams((800.0,)), 5)
+    def test_rate_where_exp_underflows_matches_poisson(self):
+        # exp(-800) underflows; the oracle forms log p_k from math.lgamma instead.
+        lam, k_max = 800.0, 1400
+        table = pmf_table(HermiteParams((lam,)), k_max)
+        oracle = [math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1)) for k in range(k_max + 1)]
+        np.testing.assert_allclose(table.probs, oracle, rtol=1e-10, atol=1e-300)
+        assert abs(table.tail_mass) < 1e-12
 
     def test_truncate(self):
         table = pmf_table(HermiteParams((1.0, 0.5)), 10)
