@@ -44,6 +44,9 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_NONCONVERGENCE = 4
 
+#: ``sample`` writes its values this many lines at a time.
+_WRITE_LINES = 1 << 14
+
 
 class FileFormatError(Exception):
     """Input file could not be parsed (exit code 2)."""
@@ -213,7 +216,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
     batch = sample_hermite(params, args.n, args.seed)
     if args.thin is not None:
         batch = thin_sample(batch, args.thin, derive_seed(args.seed, 1))
-    sys.stdout.write("\n".join(str(v) for v in batch.values) + "\n")
+    values = batch.values
+    for lo in range(0, len(values), _WRITE_LINES):
+        sys.stdout.write("\n".join(map(str, values[lo : lo + _WRITE_LINES])) + "\n")
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CountHistogram
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, OverflowGuard
 from .model import (
     FactorialCumulants,
     HermiteParams,
@@ -170,26 +170,16 @@ def mle_iterates(
         a, loglik, step, table = cand, cand_ll, alpha, cand_table
 
 
-def fit_mle(
-    hist: CountHistogram,
-    r: int,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> FitResult:
-    """Constrained maximum likelihood over coefficients a_i >= 0.
+def _poisson_max_loglik(hist: CountHistogram) -> float:
+    """The order-1 maximum: sum_k n_k log of the Poisson(mean) mass at k."""
+    mean = hist.mean()
+    log_mean = math.log(mean)
+    return math.fsum(
+        freq * (count * log_mean - mean - math.lgamma(count + 1.0)) for count, freq in hist.bins
+    )
 
-    Starts from :func:`fit_moments`; if that initializer assigns zero
-    probability to an observed count (possible when clamping zeroes a_1 on
-    data with odd counts), falls back to the uniform mean split, which is
-    strictly positive and therefore always feasible.
-    """
-    if r < 1:
-        raise DomainError(f"order must be >= 1, got {r}")
-    init = fit_moments(hist, r)
-    if not math.isfinite(log_likelihood(init, hist)):
-        init = _uniform_mean_split(hist.mean(), r)
 
+def _ascend(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: int) -> FitResult:
     params, loglik, gnorm = init, float("-inf"), float("inf")
     iterations = -1  # the first yield is the initial point, not a step
     for params, loglik, gnorm in mle_iterates(hist, init, tol=tol, max_iter=max_iter):
@@ -203,3 +193,38 @@ def fit_mle(
         grad_norm=gnorm,
         init=init,
     )
+
+
+def fit_mle(
+    hist: CountHistogram,
+    r: int,
+    *,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> FitResult:
+    """Constrained maximum likelihood over coefficients a_i >= 0.
+
+    Starts from :func:`fit_moments`; if that initializer assigns zero
+    probability to an observed count (possible when clamping zeroes a_1 on
+    data with odd counts) or overflows the pmf, falls back to the uniform
+    mean split, which is strictly positive and therefore always feasible.
+    The stopping bound grows with |loglik|, so a start far from the optimum
+    can stop at once; a fit that ends below the Poisson(mean) maximum, which
+    every order contains, by more than tol * (1 + |that maximum|) is redone
+    from (mean, 0, ..., 0), and that fit is reported.
+    """
+    if r < 1:
+        raise DomainError(f"order must be >= 1, got {r}")
+    init = fit_moments(hist, r)
+    try:
+        feasible = math.isfinite(log_likelihood(init, hist))
+    except OverflowGuard:
+        feasible = False
+    if not feasible:
+        init = _uniform_mean_split(hist.mean(), r)
+    result = _ascend(hist, init, tol, max_iter)
+    poisson = _poisson_max_loglik(hist)
+    if result.loglik < poisson - tol * (1.0 + abs(poisson)):
+        restart = HermiteParams((hist.mean(),) + (0.0,) * (r - 1))
+        result = _ascend(hist, restart, tol, max_iter)
+    return result

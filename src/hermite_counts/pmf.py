@@ -8,6 +8,8 @@ with p_{-1} = ... = p_{1-r} = 0.  No term is negative, so nothing cancels.
 One engine evaluates it for every table, likelihood and gradient at any
 total rate by storing p_k = m_k * 2**e_k; its exponent shifts are exact,
 so wherever the plain recurrence stays normal it yields the same bits.
+The public functions refuse a mean sum_i i*a_i of 2**400 or more with
+OverflowGuard, since a single step could then overflow the mantissas.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CountHistogram
-from .errors import DomainError, IterationCap
+from .errors import DomainError, IterationCap, OverflowGuard
 from .model import HermiteParams
 
 #: Hard cap on adaptive table length.
@@ -33,6 +35,10 @@ _SHIFT = 600
 #: Cody-Waite split of ln 2: _LN2_HI has 32 significant bits, so n * _LN2_HI is
 #: exact for |n| < 2**21 (rates up to 1.45e6); beyond, p_0 is off by ~ulp(rate).
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+#: Public entry points refuse means sum_i i*a_i from here on: one step of the
+#: recurrence grows by up to the mean, and above ~2**423 that leaves the window.
+_MAX_MEAN = 2.0**400
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,11 +121,24 @@ def _scaled_pmf(a: tuple[float, ...] | list[float], k_max: int) -> tuple[list[fl
     return m, e
 
 
+def _guarded(params: HermiteParams) -> tuple[float, ...]:
+    """The coefficients of ``params``, refused when their mean overflows the engine."""
+    terms = [i * c for i, c in enumerate(params.a, start=1)]
+    mean = math.fsum(terms)
+    if mean >= _MAX_MEAN:
+        i = max(range(len(terms)), key=terms.__getitem__) + 1
+        raise OverflowGuard(
+            f"coefficient a_{i} = {params.a[i - 1]} puts the mean sum_i i*a_i = {mean:g}"
+            " at or above 2**400, where the pmf recurrence overflows"
+        )
+    return params.a
+
+
 def pmf_table(params: HermiteParams, k_max: int) -> PmfTable:
     """Exact probabilities p_0..p_{k_max} by the recurrence above."""
     if k_max < 0:
         raise DomainError(f"k_max must be non-negative, got {k_max}")
-    m, e = _scaled_pmf(params.a, int(k_max))
+    m, e = _scaled_pmf(_guarded(params), int(k_max))
     # Any exponent below -2000 underflows; clipping keeps them all in int64.
     return PmfTable(np.ldexp(m, np.maximum(np.array(e, dtype=float), -2000.0).astype(np.int64)))
 
@@ -182,7 +201,7 @@ def log_likelihood(params: HermiteParams, hist: CountHistogram) -> float:
     some counts), distinguished from errors so optimizers can treat the
     point as infeasible.
     """
-    return _loglik(*_scaled_pmf(params.a, hist.max_count), hist)
+    return _loglik(*_scaled_pmf(_guarded(params), hist.max_count), hist)
 
 
 def loglik_gradient(params: HermiteParams, hist: CountHistogram) -> np.ndarray:
@@ -191,4 +210,4 @@ def loglik_gradient(params: HermiteParams, hist: CountHistogram) -> np.ndarray:
     d p_k / d a_j = p_{k-j} [k >= j] - p_k, hence
     d l / d a_j = sum_k n_k (p_{k-j}/p_k - 1).
     """
-    return _gradient(*_scaled_pmf(params.a, hist.max_count), hist, params.order)
+    return _gradient(*_scaled_pmf(_guarded(params), hist.max_count), hist, params.order)

@@ -5,6 +5,24 @@ the generator is SplitMix64 (Steele, Lea & Flood's 64-bit mixer with the
 golden-ratio increment) rather than whatever the host runtime provides.
 A Hermite draw is the linear combination sum_i i*X_i of independent Poisson
 components; thinning replaces each realized x by a Binomial(x, p) draw.
+
+Stream layout (a seed is a contract, so this is too).  Every uniform is
+next_float of one SplitMix64, used in order:
+
+* ``sample_hermite``: draw by draw, component i = 1..r in turn, skipping
+  a_i = 0.  A component with a_i <= 30 takes exactly one uniform (cdf
+  inversion); above 30 each rejection attempt takes one uniform, plus a
+  second when the first is in (0, 1) and maps to a count >= 0.
+* ``thin_sample``: count by count.  A count x takes 0 uniforms if x = 0 or
+  p = 1; x uniforms (literal trials u < p) if x <= 64; for x > 64, with
+  q = min(p, 1 - p), x uniforms (trials u < q, complemented when p > 0.5)
+  if (1 - q)**x underflows to 0, and otherwise 1 uniform, inverted in the
+  Binomial(x, q) cdf accumulated term by term.
+
+The j-th output of SplitMix64(seed) depends only on seed + j * gamma, and
+the thinning layout is fixed by the counts alone, so ``thin_sample``
+generates the same stream in numpy blocks; ``sample_binomial`` is the scalar
+definition it reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -12,10 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, OverflowGuard
 from .model import HermiteParams
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 #: Component rates above this are refused (sequential samplers degrade).
 MAX_COMPONENT_RATE = 1e6
@@ -25,6 +46,9 @@ _POISSON_INVERSION_MAX = 30.0
 
 #: Largest count thinned by literal Bernoulli trials; above it, cdf inversion.
 _BERNOULLI_MAX = 64
+
+#: Thinning works on at most this many counts, and this many uniforms, at once.
+_BLOCK = 1 << 16
 
 
 class SplitMix64:
@@ -40,7 +64,7 @@ class SplitMix64:
         self._state = int(seed) & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -71,6 +95,59 @@ class SampleBatch:
         return sum(self.values) / len(self.values)
 
 
+def _poisson_sampler(rate: float):
+    """Check ``rate`` once; return draw(rng) -> int, sample_poisson's method
+    with its per-rate constants precomputed."""
+    if rate < 0.0 or not math.isfinite(rate):
+        raise DomainError(f"Poisson rate must be finite and >= 0, got {rate}")
+    if rate == 0.0:
+        return lambda rng: 0
+    if rate <= _POISSON_INVERSION_MAX:
+        first = math.exp(-rate)
+        # A uniform above the representable cdf limit cannot occur with
+        # meaningful probability; cap the search defensively.
+        cap = int(rate + 60.0 * math.sqrt(rate) + 200.0)
+
+        def invert(rng: SplitMix64) -> int:
+            u = rng.next_float()
+            k = 0
+            term = cum = first
+            while u >= cum and k < cap:
+                k += 1
+                term *= rate / k
+                cum += term
+                if term == 0.0:
+                    break
+            return k
+
+        return invert
+    c = 0.767 - 3.36 / rate
+    beta = math.pi / math.sqrt(3.0 * rate)
+    alpha = beta * rate
+    k0 = math.log(c / beta) - rate
+    log_rate = math.log(rate)
+
+    def reject(rng: SplitMix64) -> int:
+        while True:
+            u = rng.next_float()
+            if u <= 0.0 or u >= 1.0:
+                continue
+            x = (alpha - math.log((1.0 - u) / u)) / beta
+            n = math.floor(x + 0.5)
+            if n < 0:
+                continue
+            v = rng.next_float()
+            if v <= 0.0:
+                continue
+            y = alpha - beta * x
+            lhs = y + math.log(v / (1.0 + math.exp(y)) ** 2)
+            rhs = k0 + n * log_rate - math.lgamma(n + 1.0)
+            if lhs <= rhs:
+                return int(n)
+
+    return reject
+
+
 def sample_poisson(rate: float, rng: SplitMix64) -> int:
     """One Poisson draw using the supplied generator state.
 
@@ -79,54 +156,16 @@ def sample_poisson(rate: float, rng: SplitMix64) -> int:
     (c = 0.767 - 3.36/rate, beta = pi/sqrt(3 rate)), which needs no
     normal-approximation shortcut and stays exact for large rates.
     """
-    if rate < 0.0 or not math.isfinite(rate):
-        raise DomainError(f"Poisson rate must be finite and >= 0, got {rate}")
-    if rate == 0.0:
-        return 0
-    if rate <= _POISSON_INVERSION_MAX:
-        u = rng.next_float()
-        k = 0
-        term = math.exp(-rate)
-        cum = term
-        # A uniform above the representable cdf limit cannot occur with
-        # meaningful probability; cap the search defensively.
-        cap = int(rate + 60.0 * math.sqrt(rate) + 200.0)
-        while u >= cum and k < cap:
-            k += 1
-            term *= rate / k
-            cum += term
-            if term == 0.0:
-                break
-        return k
-    c = 0.767 - 3.36 / rate
-    beta = math.pi / math.sqrt(3.0 * rate)
-    alpha = beta * rate
-    k0 = math.log(c / beta) - rate
-    log_rate = math.log(rate)
-    while True:
-        u = rng.next_float()
-        if u <= 0.0 or u >= 1.0:
-            continue
-        x = (alpha - math.log((1.0 - u) / u)) / beta
-        n = math.floor(x + 0.5)
-        if n < 0:
-            continue
-        v = rng.next_float()
-        if v <= 0.0:
-            continue
-        y = alpha - beta * x
-        lhs = y + math.log(v / (1.0 + math.exp(y)) ** 2)
-        rhs = k0 + n * log_rate - math.lgamma(n + 1.0)
-        if lhs <= rhs:
-            return int(n)
+    return _poisson_sampler(rate)(rng)
 
 
 def sample_binomial(trials: int, p: float, rng: SplitMix64) -> int:
-    """One Binomial(trials, p) draw.
+    """One Binomial(trials, p) draw: the scalar definition of the thinning stream.
 
     Small counts run literal Bernoulli trials; larger ones use cdf inversion
     on the smaller of (p, 1-p) so the starting mass never underflows at
     realistic counts (an exact trial-by-trial fallback covers the rest).
+    :func:`thin_sample` reproduces it in blocks.
     """
     if trials < 0:
         raise DomainError(f"trial count must be >= 0, got {trials}")
@@ -164,25 +203,115 @@ def sample_hermite(params: HermiteParams, n: int, seed: int) -> SampleBatch:
             raise OverflowGuard(
                 f"component rate a_{i} = {rate} exceeds {MAX_COMPONENT_RATE}"
             )
+    draws = [(i, _poisson_sampler(rate)) for i, rate in enumerate(params.a, start=1) if rate > 0.0]
     rng = SplitMix64(seed)
-    rates = params.a
     values = []
     for _ in range(n):
         total = 0
-        for i, rate in enumerate(rates, start=1):
-            if rate > 0.0:
-                total += i * sample_poisson(rate, rng)
+        for i, draw in draws:
+            total += i * draw(rng)
         values.append(total)
     return SampleBatch(values=tuple(values), seed=int(seed) & _MASK64)
 
 
+def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Outputs start+1 .. start+count of SplitMix64(seed), as next_float maps them.
+
+    The j-th output mixes seed + j * gamma (mod 2**64), so any stretch of
+    the stream is computed without the outputs before it.
+    """
+    j = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = np.uint64(seed) + j * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _binomial_cdf(trials: int, q: float, u_max: float) -> np.ndarray:
+    """sample_binomial's running cdf for ``trials``, accumulated in its order,
+    up to the first entry above ``u_max`` or to index ``trials``."""
+    term = cum = (1.0 - q) ** trials
+    ratio = q / (1.0 - q)
+    cdf = [cum]
+    k = 0
+    while u_max >= cum and k < trials:
+        term *= ratio * (trials - k) / (k + 1.0)
+        k += 1
+        cum += term
+        cdf.append(cum)
+    return np.array(cdf)
+
+
+def _thin_chunk(x: np.ndarray, p: float, seed: int, used: int) -> tuple[np.ndarray, int]:
+    """Thin the counts ``x`` with the stream after its first ``used`` uniforms.
+
+    Returns the thinned counts and the number of uniforms used after them.
+    """
+    flip = p > 0.5
+    q = 1.0 - p if flip else p
+    large = x > _BERNOULLI_MAX
+    sizes = np.unique(x[large])
+    underflows = np.array([(1.0 - q) ** t == 0.0 for t in sizes.tolist()], dtype=bool)
+    exhaustive = np.zeros_like(large)
+    exhaustive[large] = underflows[np.searchsorted(sizes, x[large])]
+    inverted = large & ~exhaustive
+    # bounds[i] is where count i's uniforms start; bounds[-1] where they all end.
+    bounds = used + np.concatenate(([0], np.cumsum(np.where(inverted, 1, x))))
+    end = int(bounds[-1])
+    below_p = np.zeros(len(bounds), dtype=np.int64)  # uniforms < p before each bound
+    below_q = np.zeros(len(bounds), dtype=np.int64) if flip else below_p
+    first = np.zeros(len(x))  # each count's first uniform
+    seen_p = seen_q = 0
+    for start in range(used, end, _BLOCK):
+        u = _uniforms(seed, start, min(_BLOCK, end - start))
+        stop = start + len(u)
+        lo, hi = np.searchsorted(bounds, start, "left"), np.searchsorted(bounds, stop, "right")
+        local = bounds[lo:hi] - start
+        cum_p = np.concatenate(([0], np.cumsum(u < p)))
+        below_p[lo:hi] = seen_p + cum_p[local]
+        seen_p += int(cum_p[-1])
+        if flip:
+            cum_q = np.concatenate(([0], np.cumsum(u < q)))
+            below_q[lo:hi] = seen_q + cum_q[local]
+            seen_q += int(cum_q[-1])
+        b = np.searchsorted(bounds[:-1], stop, "left")
+        first[lo:b] = u[bounds[lo:b] - start]
+    thinned = np.diff(below_p)
+    if flip:
+        thinned[exhaustive] = x[exhaustive] - np.diff(below_q)[exhaustive]
+    # cdf inversion: one table per distinct count, searched by all its uniforms.
+    idx = np.flatnonzero(inverted)
+    order = idx[np.argsort(x[idx], kind="stable")]
+    for group in np.split(order, np.flatnonzero(np.diff(x[order])) + 1):
+        if group.size:
+            trials = int(x[group[0]])
+            cdf = _binomial_cdf(trials, q, float(first[group].max()))
+            k = np.minimum(np.searchsorted(cdf, first[group], "right"), trials)
+            thinned[group] = trials - k if flip else k
+    return thinned, end
+
+
 def thin_sample(batch: SampleBatch, p: float, seed: int) -> SampleBatch:
-    """Binomially subsample every realized count: x -> Binomial(x, p)."""
+    """Binomially subsample every realized count: x -> Binomial(x, p).
+
+    The result equals sample_binomial(x, p, rng) applied to each count in
+    turn with one rng = SplitMix64(seed); it is computed in numpy blocks of
+    at most _BLOCK counts and _BLOCK uniforms.
+    """
     p = float(p)
     if not (0.0 < p <= 1.0):
         raise DomainError(f"thinning fraction must lie in (0, 1], got {p}")
+    seed = int(seed) & _MASK64
     if p == 1.0:
-        return SampleBatch(values=batch.values, seed=int(seed) & _MASK64)
-    rng = SplitMix64(seed)
-    values = tuple(sample_binomial(x, p, rng) for x in batch.values)
-    return SampleBatch(values=values, seed=int(seed) & _MASK64)
+        return SampleBatch(values=batch.values, seed=seed)
+    values: list[int] = []
+    used = 0
+    for lo in range(0, len(batch.values), _BLOCK):
+        x = np.asarray(batch.values[lo : lo + _BLOCK], dtype=np.int64)
+        if x.min() < 0:
+            raise DomainError(f"trial count must be >= 0, got {x[np.argmax(x < 0)]}")
+        thinned, used = _thin_chunk(x, p, seed, used)
+        values += thinned.tolist()
+    return SampleBatch(values=tuple(values), seed=seed)

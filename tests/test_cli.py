@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: formats, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -62,6 +63,12 @@ class TestPmfCommand:
         assert code == 3
         assert "error" in err
 
+    def test_overflowing_mean_is_guarded(self, tmp_path, capsys):
+        model = write_model(tmp_path, order=1, a=[1e300])
+        code, _, err = run_cli(capsys, "pmf", model, "--k-max", "3")
+        assert code == 3
+        assert "a_1" in err
+
     def test_malformed_json_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -112,6 +119,15 @@ class TestFitCommand:
         data.write_text(out + f"{outlier}\n")
         code, _, err = run_cli(capsys, command[0], str(data), *command[1:])
         assert code == 0, err
+
+    def test_far_apart_pair_beats_poisson(self, tmp_path, capsys):
+        # the moment start's loglik is so low that its stopping bound is met at once
+        data = tmp_path / "hist.csv"
+        data.write_text("count,freq\n0,1\n50000,1\n")
+        code, out, err = run_cli(capsys, "fit", str(data), "--order", "2")
+        assert code == 0, err
+        poisson = 2 * (-25000.0) + 50000 * math.log(25000.0) - math.lgamma(50001.0)
+        assert json.loads(out)["loglik"] > poisson
 
     def test_moments_agrees_for_poisson(self, tmp_path, capsys):
         data = tmp_path / "counts.txt"
@@ -208,6 +224,29 @@ class TestSampleCommand:
         _, again, _ = run_cli(capsys, "sample", model, "--n", "50", "--seed", "42", "--thin", "0.5")
         assert thinned == again
         assert [int(a) for a in thinned.split()] <= [int(b) for b in plain.split()]
+
+    @pytest.mark.parametrize(
+        "a, n, seed, thin, digest",
+        [
+            ([40.0, 10.0], "3000", "0", ["--thin", "0.3"],
+             "5beb5a418f8fa8924e3cb978cbcd440a9955d4d158977d8883d308f3ade1a79f"),
+            ([40.0, 10.0], "3000", "42", ["--thin", "0.5"],
+             "c9ad0bd9a3153751492527736d889d60b91e29d55d4ce2ce21e4595ce3c6b65b"),
+            ([40.0, 10.0], "3000", "18446744073709551615", ["--thin", "0.97"],
+             "7258e762d9b3219b0fa93263080660f3efa415191deb860e9da6bcd06dd63148"),
+            ([1.0, 0.5, 0.25], "40000", "42", [],
+             "f7f14e963278fb30a165036206d577228ca5b88a17280ca46d5b41cae7165a7d"),
+            ([1.0, 0.5, 0.25], "40000", "42", ["--thin", "0.5"],
+             "071826db227a3eab5b5207fef72e30029a0fc1a84c7bb259076903034653143a"),
+        ],
+    )
+    def test_golden_stdout(self, tmp_path, capsys, a, n, seed, thin, digest):
+        # SHA-256 of stdout as written by the scalar samplers in one piece;
+        # 40000 lines cross several write chunks
+        model = write_model(tmp_path, order=len(a), a=a)
+        code, out, _ = run_cli(capsys, "sample", model, "--n", n, "--seed", seed, *thin)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_bad_thin_fraction(self, tmp_path, capsys):
         model = write_model(tmp_path, order=1, a=[1.0])

@@ -222,3 +222,24 @@ class TestFitMle:
         res = fit_mle(hist, 2)
         assert math.isfinite(res.loglik)
         assert all(x > 0 for x in res.init.a)
+
+    def test_far_apart_pair_restarts_from_poisson(self):
+        # the moment start a=(0, 3.1e8) has loglik -6.2e8, so the stopping
+        # bound tol * (1 + |loglik|) held before any step; order 2 contains
+        # Poisson(mean), whose maximum is closed form
+        hist = CountHistogram.from_mapping({0: 1, 50000: 1})
+        poisson = fit_mle(hist, 1)
+        res = fit_mle(hist, 2)
+        assert res.converged
+        assert res.loglik > poisson.loglik
+        assert res.init.a == (hist.mean(), 0.0)
+        fitted_mean = res.params.a[0] + 2 * res.params.a[1]
+        assert fitted_mean == pytest.approx(hist.mean(), rel=1e-5)
+
+    def test_overflowing_moment_start_falls_back(self):
+        # at order 50 the moment start puts sum_i i*a_i far above 2**400,
+        # where the pmf is refused; the fit starts from the uniform split
+        hist = CountHistogram.from_mapping({0: 1, 1000: 1})
+        res = fit_mle(hist, 50, max_iter=2)
+        assert res.init.a[0] == pytest.approx(hist.mean() / 50, rel=1e-15)
+        assert -100.0 < res.loglik < 0.0

@@ -11,6 +11,7 @@ from hermite_counts import (
     DomainError,
     HermiteParams,
     IterationCap,
+    OverflowGuard,
     adaptive_pmf,
     log_likelihood,
     loglik_gradient,
@@ -138,6 +139,28 @@ class TestLogLikelihood:
     def test_empty_histogram_rejected_at_construction(self):
         with pytest.raises(DataError):
             CountHistogram.from_mapping({})
+
+    def test_mean_just_below_the_guard(self):
+        hist = CountHistogram.from_mapping({1: 2, 3: 2})
+        lam = 1e120
+        closed = math.fsum(f * (c * math.log(lam) - lam - math.lgamma(c + 1)) for c, f in hist.bins)
+        assert log_likelihood(HermiteParams((lam,)), hist) == pytest.approx(closed, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda params, hist: pmf_table(params, 3),
+            lambda params, hist: adaptive_pmf(params, 1e-12),
+            log_likelihood,
+            loglik_gradient,
+        ],
+        ids=["pmf_table", "adaptive_pmf", "log_likelihood", "loglik_gradient"],
+    )
+    def test_overflowing_mean_is_guarded(self, evaluate):
+        # one step of the recurrence would overflow the scaled mantissas
+        hist = CountHistogram.from_mapping({1: 2, 3: 2})
+        with pytest.raises(OverflowGuard, match="a_2"):
+            evaluate(HermiteParams((1.0, 1e300)), hist)
 
 
 class TestLoglikGradient:

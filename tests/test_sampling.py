@@ -1,5 +1,7 @@
 """Generator portability, reproducibility, and distributional correctness."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from hermite_counts import (
     DomainError,
     HermiteParams,
     OverflowGuard,
+    SampleBatch,
     SplitMix64,
     adaptive_pmf,
     sample_hermite,
@@ -14,6 +17,7 @@ from hermite_counts import (
     thin_params,
     thin_sample,
 )
+from hermite_counts import sampling
 from hermite_counts.sampling import sample_binomial
 
 from conftest import gof_pvalue, poisson_table_exact
@@ -143,9 +147,93 @@ class TestThinSample:
         with pytest.raises(DomainError):
             thin_sample(batch, 0.0, seed=18)
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(DomainError):
+            thin_sample(SampleBatch((3, 70, -1, 2), seed=0), 0.5, seed=1)
+
     def test_gof_against_thinned_law(self):
         params = HermiteParams((1.0, 0.5))
         batch = sample_hermite(params, 100_000, seed=42)
         thinned = thin_sample(batch, 0.5, seed=43)
         target = adaptive_pmf(thin_params(params, 0.5), 1e-12)
         assert gof_pvalue(thinned.values, target.probs) > GOF_ALPHA
+
+
+def stream_digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype="<i8").tobytes()).hexdigest()
+
+
+SEEDS = (0, 42, 2**64 - 1)
+FRACTIONS = (0.3, 0.5, 0.97)
+
+#: A count whose (1 - q)**x underflows, so it runs x literal trials against q.
+UNDERFLOW_COUNT = {0.3: 3_000, 0.5: 300_000, 0.97: 30_000}
+
+
+def golden_counts(p: float, n: int = 70_000) -> tuple[int, ...]:
+    # 0..199 scrambled: literal trials up to 64, cdf inversion above; the
+    # underflow count sits inside, and the stream crosses many blocks.
+    counts = [(k * 7919) % 200 for k in range(n)]
+    counts.insert(n * 3 // 7, UNDERFLOW_COUNT[p])
+    return tuple(counts)
+
+
+#: SHA-256 of the thinned streams, computed by the scalar sample_binomial loop.
+GOLDEN_THIN = {
+    (0, 0.3): "b4eec2a32c7c789488e4f4ff07bbb81f979b8c4b1db66946179c89ba89b8450e",
+    (0, 0.5): "3454ccd8773642adc851d6291547465d7afed6acf8b64baa007c642a7c345387",
+    (0, 0.97): "77f9a670899ecbade03d882e3588053ef4eb07a21009e93737743c7e9a800434",
+    (42, 0.3): "08d012ba40f7f05b8e44fcd2ad937d44e3e383ffb9b46356069e0f6b9b66a2c0",
+    (42, 0.5): "db1eb8d39d27f40ad9ec4c6cf133d9b0ea36c278cce3f668e5b55420fc5f2544",
+    (42, 0.97): "752e762c40da8272feb7e1bd14d371b7c794c89363b834840293dc655262018c",
+    (2**64 - 1, 0.3): "6f491234ecd8bf536ced18b0a286e919d980564ec80625091caba4fee072a5a3",
+    (2**64 - 1, 0.5): "b57b527b44983ea442f72fc7b4251cb41cf969bea746cddd96c9aca43ba0b437",
+    (2**64 - 1, 0.97): "c35fcc2a0a366989997ba9cdaf2c98d74b1baa42a205f4d5d978b7b0a5e91bf3",
+}
+
+#: SHA-256 of 5000 draws, on both sides of the inversion/rejection threshold.
+GOLDEN_HERMITE = {
+    (0, (1.0, 0.5, 0.25)): "a35872f4a4b11dc7b2580d69f27b162155dc4cbcfc0c3c4f8785af9fbd253fa7",
+    (0, (29.5,)): "cb3da22567c265b46a789f873476b276989fae0f204cdeb5790e379d581c2175",
+    (0, (30.5, 2.0)): "67627f7c25584376e68ad56a2eb327e2c33290f3ebb3b3c2122cc74c8e27dd91",
+    (0, (0.0, 0.7)): "793aedea26866ac4228eed724f11af68b943543b56e31134442b07d59f190d4f",
+    (42, (1.0, 0.5, 0.25)): "b963707f9eb4deae39da9e6f4b4cabb78431784e2b8f3a455c5edac42dd7b397",
+    (42, (29.5,)): "ee7b590aa2b0818133100163d7f3b2d024bfc5ae4b05ed7943e268b544714afc",
+    (42, (30.5, 2.0)): "a0fa3f2358e7910758f16c38032b51c8958cd30777b28c32569e42b39201ebf4",
+    (42, (0.0, 0.7)): "0ddab56e969e30c803b4358238968fcc583bb529d1b97f9364f5a2234a14561b",
+    (2**64 - 1, (1.0, 0.5, 0.25)): "99fd567957867601340bc3452a4e0918d583c1a7548b3cabacbeec382dd86997",
+    (2**64 - 1, (29.5,)): "9e854237950ce9f86f2ffa9672b3738e2e91ed8edae7a8181cfce0959be5c4f0",
+    (2**64 - 1, (30.5, 2.0)): "a5b50bf1f7472646cb6ab335c5ffe1390701afc76144a6e1d596e907ecf561d5",
+    (2**64 - 1, (0.0, 0.7)): "141a6a73beddfa5c1599ea886a3d813a3a47b0c48e354e3b08a1fab665857bc0",
+}
+
+
+class TestGoldenStreams:
+    @pytest.mark.parametrize("p", FRACTIONS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_thin_sample_stream(self, seed, p):
+        batch = SampleBatch(golden_counts(p), seed=0)
+        assert stream_digest(thin_sample(batch, p, seed).values) == GOLDEN_THIN[(seed, p)]
+
+    @pytest.mark.parametrize("a", sorted({a for _, a in GOLDEN_HERMITE}), ids=str)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sample_hermite_stream(self, seed, a):
+        values = sample_hermite(HermiteParams(a), 5000, seed).values
+        assert stream_digest(values) == GOLDEN_HERMITE[(seed, a)]
+
+    @pytest.mark.parametrize("p", FRACTIONS)
+    def test_thin_sample_matches_scalar_oracle(self, p):
+        counts = golden_counts(p, n=3_000)
+        rng = SplitMix64(42)
+        expected = tuple(sample_binomial(x, p, rng) for x in counts)
+        assert thin_sample(SampleBatch(counts, seed=0), p, 42).values == expected
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_block_boundaries_match_scalar_oracle(self, monkeypatch, block):
+        # tiny blocks put a block edge inside nearly every count's trials
+        monkeypatch.setattr(sampling, "_BLOCK", block)
+        counts = tuple((k * 37) % 150 for k in range(400)) + (0, 2_500, 0, 65, 64)
+        for p in (0.3, 0.5, 0.97):
+            rng = SplitMix64(7)
+            expected = tuple(sample_binomial(x, p, rng) for x in counts)
+            assert thin_sample(SampleBatch(counts, seed=0), p, 7).values == expected
