@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, OverflowGuard
 
 #: Negative coefficients larger than this (in absolute value) are rejected
 #: when converting factorial cumulants back to exponent coefficients;
@@ -203,11 +203,21 @@ def thinning_invariants(summary: CumulantSummary) -> ThinningInvariants:
 
 
 def pgf_eval(params: HermiteParams, t: float) -> float:
-    """Probability generating function exp(sum_i a_i (t**i - 1)) at ``t``."""
+    """Probability generating function exp(sum_i a_i (t**i - 1)) at ``t``.
+
+    Raises OverflowGuard where the value, or a power t**i on the way to it,
+    leaves the double range.
+    """
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t}")
-    return math.exp(math.fsum(a_i * (t**i - 1.0) for i, a_i in enumerate(params.a, start=1)))
+    try:
+        value = math.exp(math.fsum(a_i * (t**i - 1.0) for i, a_i in enumerate(params.a, start=1)))
+    except (OverflowError, ValueError):  # fsum raises ValueError on inf - inf
+        value = math.inf
+    if value == math.inf:
+        raise OverflowGuard(f"the pgf overflows the double range at t = {t}")
+    return value
 
 
 def hermite2_from_mean_variance(mean: float, variance: float) -> HermiteParams:

@@ -82,9 +82,13 @@ class PmfTable:
 
     def truncate(self, k_max: int) -> "PmfTable":
         """A copy cut off at ``k_max`` (tail mass grows accordingly)."""
-        if k_max < 0:
-            raise DomainError("k_max must be non-negative")
+        _check_k_max(k_max)
         return PmfTable(self.probs[: k_max + 1])
+
+
+def _check_k_max(k_max: int) -> None:
+    if k_max < 0:
+        raise DomainError(f"k_max must be non-negative, got {k_max}")
 
 
 def _scaled_pmf(a: tuple[float, ...] | list[float], k_max: int) -> tuple[list[float], list[int]]:
@@ -136,8 +140,7 @@ def _guarded(params: HermiteParams) -> tuple[float, ...]:
 
 def pmf_table(params: HermiteParams, k_max: int) -> PmfTable:
     """Exact probabilities p_0..p_{k_max} by the recurrence above."""
-    if k_max < 0:
-        raise DomainError(f"k_max must be non-negative, got {k_max}")
+    _check_k_max(k_max)
     m, e = _scaled_pmf(_guarded(params), int(k_max))
     # Any exponent below -2000 underflows; clipping keeps them all in int64.
     return PmfTable(np.ldexp(m, np.maximum(np.array(e, dtype=float), -2000.0).astype(np.int64)))

@@ -19,14 +19,15 @@ and backs the command line ``verify`` subcommand.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .model import hermite2_from_mean_variance
-from .pmf import PmfTable, pmf_table
-from .transform import thin_pmf_oracle
+from .pmf import PmfTable, _check_k_max, pmf_table
+from .transform import _check_thinning_fraction, thin_pmf_oracle
 
 #: Truncation target for internally built base tables.
 _BASE_TAIL = 1e-14
@@ -41,8 +42,7 @@ def doubled_poisson_pmf(eta1: float, k_max: int) -> PmfTable:
     eta1 = float(eta1)
     if not eta1 > 0.0:
         raise DomainError(f"eta1 must be positive, got {eta1}")
-    if k_max < 0:
-        raise DomainError("k_max must be non-negative")
+    _check_k_max(k_max)
     lam = 1.0 / (2.0 * eta1)
     probs = np.zeros(k_max + 1)
     term = math.exp(-lam)
@@ -57,8 +57,11 @@ def negative_binomial_pmf(mean: float, eta1: float, k_max: int) -> PmfTable:
     """Negative binomial with the given mean and dispersion ratio eta1.
 
     Parameterized so the pgf is (1 - mean*eta1*(t - 1))**(-1/eta1): shape
-    1/eta1, success probability 1/(1 + mean*eta1).  Computed by the ratio
-    recurrence p_{k+1} = p_k * (1-q) * (shape + k)/(k + 1).
+    1/eta1, success probability q = 1/(1 + mean*eta1).  Computed as
+    p_0 = exp(-shape * log1p(mean*eta1)) and the ratio recurrence
+    p_{k+1} = p_k * (1-q) * (shape + k)/(k + 1), with 1 - q formed as
+    mean*eta1/(1 + mean*eta1): q rounds to 1 as eta1 -> 0, where the law
+    tends to Poisson(mean).
     """
     mean = float(mean)
     eta1 = float(eta1)
@@ -66,14 +69,14 @@ def negative_binomial_pmf(mean: float, eta1: float, k_max: int) -> PmfTable:
         raise DomainError(f"mean must be positive, got {mean}")
     if not eta1 > 0.0:
         raise DomainError(f"eta1 must be positive, got {eta1}")
-    if k_max < 0:
-        raise DomainError("k_max must be non-negative")
+    _check_k_max(k_max)
     shape = 1.0 / eta1
-    q = 1.0 / (1.0 + mean * eta1)
+    odds = mean * eta1
+    ratio = odds / (1.0 + odds)
     probs = np.empty(k_max + 1)
-    probs[0] = q**shape
+    probs[0] = math.exp(-shape * math.log1p(odds))
     for k in range(k_max):
-        probs[k + 1] = probs[k] * (1.0 - q) * (shape + k) / (k + 1.0)
+        probs[k + 1] = probs[k] * (ratio * (shape + k)) / (k + 1.0)
     return PmfTable(probs)
 
 
@@ -100,11 +103,8 @@ def alternating_geometric_pmf(p: float, k_max: int) -> PmfTable:
     through the distribution-level thinning oracle.  The family mean is
     15*p/7, so the parameter range ends at mean 15/7 (the base itself).
     """
-    p = float(p)
-    if not (0.0 < p <= 1.0):
-        raise DomainError(f"thinning fraction must lie in (0, 1], got {p}")
-    if k_max < 0:
-        raise DomainError("k_max must be non-negative")
+    p = _check_thinning_fraction(p)
+    _check_k_max(k_max)
     base = _alternating_geometric_base()
     thinned = thin_pmf_oracle(base, p)
     return thinned.truncate(min(k_max, thinned.k_max))
@@ -117,11 +117,9 @@ def alternating_geometric_pgf_values(p: float, t: float) -> tuple[float, float]:
     s = 1 - p*(1 - t).  The second component sums p*_k t**k from the
     numerically thinned table; the pair should agree to ~1e-10.
     """
-    p = float(p)
+    p = _check_thinning_fraction(p)
     t = float(t)
-    if not (0.0 < p <= 1.0):
-        raise DomainError(f"thinning fraction must lie in (0, 1], got {p}")
-    if abs(t) > 1.0:
+    if not abs(t) <= 1.0:
         raise DomainError(f"|t| must be <= 1, got {t}")
     s = 1.0 - p * (1.0 - t)
     closed = 6.0 / (21.0 - 7.0 * s * s) + 4.0 * s / (14.0 - 7.0 * s * s)
@@ -153,95 +151,72 @@ class CheckResult:
     detail: str
 
 
-def _close(x: np.ndarray | float, y: np.ndarray | float, tol: float) -> tuple[bool, float]:
-    dev = float(np.max(np.abs(np.asarray(x) - np.asarray(y))))
-    return dev <= tol, dev
+def _deviation_check(
+    name: str, tol: float, pairs: Iterable[tuple[np.ndarray | float, np.ndarray | float]]
+) -> CheckResult:
+    """Passes when the largest |got - want| over all pairs is within ``tol``; NaN fails."""
+    worst = float(np.max([np.max(np.abs(np.subtract(got, want))) for got, want in pairs]))
+    return CheckResult(name, worst <= tol, f"max dev {worst:.3e}")
 
 
-def run_verification() -> list[CheckResult]:
-    """Numerical identity suite over the three reference families."""
-    checks: list[CheckResult] = []
-    tol = 1e-10
-
-    # Thinning the doubled Poisson with p = mean*eta1 gives the order-2
-    # Hermite law with that mean and dispersion.
-    worst = 0.0
-    ok = True
+def _order_two_pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Doubled Poisson thinned by p = mean*eta1 vs the order-2 law of that mean and dispersion."""
     for mu in (0.5, 1.0, 2.0):
         for eta1 in (0.1, 0.25, 0.5):
-            p = mu * eta1
-            if p > 1.0:
-                continue
-            base = doubled_poisson_pmf(eta1, 120)
-            thinned = thin_pmf_oracle(base, p)
-            hermite = pmf_table(hermite2_from_mean_variance(mu, mu + eta1 * mu**2), thinned.k_max)
-            good, dev = _close(thinned.probs, hermite.probs, tol)
-            ok &= good
-            worst = max(worst, dev)
-    checks.append(
-        CheckResult("doubled-poisson thinning sweeps the order-2 family", ok, f"max dev {worst:.3e}")
-    )
+            thinned = thin_pmf_oracle(doubled_poisson_pmf(eta1, 120), mu * eta1)
+            target = hermite2_from_mean_variance(mu, mu + eta1 * mu**2)
+            yield thinned.probs, pmf_table(target, thinned.k_max).probs
 
-    # Doubled Poisson has zero-gaps; the alternating-geometric base does not.
-    gaps_ok = has_zero_gap(doubled_poisson_pmf(0.25, 20)) and not has_zero_gap(
-        _alternating_geometric_base()
-    )
-    checks.append(CheckResult("zero-gap classification of the base laws", gaps_ok, ""))
 
-    # Negative binomial: thinning scales the mean, keeps the shape.
-    worst = 0.0
-    ok = True
+def _negative_binomial_pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Thinned negative binomials vs the same shape at the scaled mean."""
     for mu, eta1 in ((1.0, 1.0), (2.0, 0.5), (0.7, 0.3)):
         full = negative_binomial_pmf(mu, eta1, 400)
         for p in (0.2, 0.5, 0.9):
             thinned = thin_pmf_oracle(full, p)
-            target = negative_binomial_pmf(p * mu, eta1, thinned.k_max)
-            good, dev = _close(thinned.probs, target.probs, tol)
-            ok &= good
-            worst = max(worst, dev)
-    checks.append(
-        CheckResult("negative-binomial thinning stability", ok, f"max dev {worst:.3e}")
-    )
+            yield thinned.probs, negative_binomial_pmf(p * mu, eta1, thinned.k_max).probs
 
-    # Alternating-geometric family: thinning twice composes multiplicatively.
-    worst = 0.0
-    ok = True
+
+def _semigroup_pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Alternating-geometric laws thinned by p then q vs thinned by p*q."""
     for p in (0.4, 0.8):
         for q in (0.5, 0.9):
             once = thin_pmf_oracle(alternating_geometric_pmf(p, 120), q)
-            direct = alternating_geometric_pmf(p * q, once.k_max)
-            good, dev = _close(once.probs, direct.probs, tol)
-            ok &= good
-            worst = max(worst, dev)
-    checks.append(
-        CheckResult("alternating-geometric thinning semigroup", ok, f"max dev {worst:.3e}")
-    )
+            yield once.probs, alternating_geometric_pmf(p * q, once.k_max).probs
 
-    # Base normalization and the family mean 15p/7.
+
+def run_verification() -> list[CheckResult]:
+    """Numerical identity suite over the three reference families."""
     base = _alternating_geometric_base()
-    norm_ok = abs(base.tail_mass) < 1e-12
-    mean_ok = True
-    worst = 0.0
-    for p in (0.3, 0.7, 1.0):
-        table = alternating_geometric_pmf(p, 200)
-        dev = abs(table.truncated_mean() - 15.0 * p / 7.0)
-        worst = max(worst, dev)
-        mean_ok &= dev < 1e-8
-    checks.append(CheckResult("alternating-geometric base normalizes", norm_ok, ""))
-    checks.append(
-        CheckResult("alternating-geometric mean is 15p/7", mean_ok, f"max dev {worst:.3e}")
-    )
-
-    # Closed-form pgf against the tabulated power series.
-    worst = 0.0
-    ok = True
-    for p in (0.5, 1.0):
-        for t in (-1.0, -0.3, 0.0, 0.3, 0.9, 1.0):
-            closed, series = alternating_geometric_pgf_values(p, t)
-            dev = abs(closed - series)
-            worst = max(worst, dev)
-            ok &= dev < 1e-10
-    checks.append(
-        CheckResult("alternating-geometric pgf matches its series", ok, f"max dev {worst:.3e}")
-    )
-    return checks
+    return [
+        _deviation_check(
+            "doubled-poisson thinning sweeps the order-2 family", 1e-10, _order_two_pairs()
+        ),
+        # Doubled Poisson has zero-gaps; the alternating-geometric base does not.
+        CheckResult(
+            "zero-gap classification of the base laws",
+            has_zero_gap(doubled_poisson_pmf(0.25, 20)) and not has_zero_gap(base),
+            "",
+        ),
+        _deviation_check("negative-binomial thinning stability", 1e-10, _negative_binomial_pairs()),
+        _deviation_check("alternating-geometric thinning semigroup", 1e-10, _semigroup_pairs()),
+        CheckResult("alternating-geometric base normalizes", abs(base.tail_mass) < 1e-12, ""),
+        _deviation_check(
+            "alternating-geometric mean is 15p/7",
+            1e-8,
+            (
+                (alternating_geometric_pmf(p, 200).truncated_mean(), 15.0 * p / 7.0)
+                for p in (0.3, 0.7, 1.0)
+            ),
+        ),
+        # Closed-form pgf against the tabulated power series.
+        _deviation_check(
+            "alternating-geometric pgf matches its series",
+            1e-10,
+            (
+                alternating_geometric_pgf_values(p, t)
+                for p in (0.5, 1.0)
+                for t in (-1.0, -0.3, 0.0, 0.3, 0.9, 1.0)
+            ),
+        ),
+    ]

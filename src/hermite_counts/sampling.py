@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import DomainError, OverflowGuard
 from .model import HermiteParams
+from .transform import _check_thinning_fraction
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -300,9 +301,7 @@ def thin_sample(batch: SampleBatch, p: float, seed: int) -> SampleBatch:
     turn with one rng = SplitMix64(seed); it is computed in numpy blocks of
     at most _BLOCK counts and _BLOCK uniforms.
     """
-    p = float(p)
-    if not (0.0 < p <= 1.0):
-        raise DomainError(f"thinning fraction must lie in (0, 1], got {p}")
+    p = _check_thinning_fraction(p)
     seed = int(seed) & _MASK64
     if p == 1.0:
         return SampleBatch(values=batch.values, seed=seed)

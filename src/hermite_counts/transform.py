@@ -2,15 +2,15 @@
 
 Parameter-space forms are exact and cheap; the distribution-level oracles
 work directly on pmf tables and exist to verify the parameter forms against
-brute force.  Oracle outputs inherit the input truncation: an entry of a
-thinned table is accurate to within the input's tail mass, so comparisons
-should only trust entries once inputs were built with tails well below the
-comparison tolerance.
+brute force: the thinning oracle is the pgf composition G(1 - p + p*t),
+evaluated by Horner's rule, and the addition oracle a direct convolution.
+Oracle outputs inherit the input truncation: an entry of a thinned table is
+accurate to within the input's tail mass, so comparisons should only trust
+entries once inputs were built with tails well below the comparison
+tolerance.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -85,40 +85,13 @@ def convolve_pmf_oracle(first: PmfTable, second: PmfTable) -> PmfTable:
     return PmfTable(np.convolve(first.probs, second.probs))
 
 
-def _binomial_row(n: int, p: float) -> np.ndarray:
-    """Binomial(n, p) pmf over k = 0..n.
-
-    Multiplicative recurrence b_{k+1} = b_k (n-k)/(k+1) * p/(1-p), anchored at
-    the mode via lgamma: starting the recurrence at k = 0 underflows for p
-    near 1 once n is a few hundred, losing the entire row.
-    """
-    if n == 0:
-        return np.ones(1)
-    m = min(int((n + 1) * p), n)
-    log_bm = (
-        math.lgamma(n + 1)
-        - math.lgamma(m + 1)
-        - math.lgamma(n - m + 1)
-        + m * math.log(p)
-        + (n - m) * math.log1p(-p)
-    )
-    row = np.zeros(n + 1)
-    row[m] = math.exp(log_bm)
-    ratio = p / (1.0 - p)
-    k = np.arange(n)
-    up = (n - k) / (k + 1.0) * ratio  # b_{k+1} / b_k
-    if m < n:
-        row[m + 1 :] = row[m] * np.cumprod(up[m:])
-    if m > 0:
-        row[m - 1 :: -1] = row[m] * np.cumprod(1.0 / up[m - 1 :: -1])
-    return row
-
-
 def thin_pmf_oracle(table: PmfTable, p: float) -> PmfTable:
     """Exact distribution of the p-thinning of a tabulated variable.
 
-    Mixes binomials over the table: p*_k = sum_{n>=k} P_n C(n,k) p**k (1-p)**(n-k),
-    truncated at the input's length.  Quadratic in the table length.
+    The thinned pgf is G(q + p*t) with q = 1 - p and G(s) = sum_n P_n s**n,
+    so p*_k = sum_{n>=k} P_n C(n,k) p**k q**(n-k), truncated at the input's
+    length.  Horner's rule from the top entry down, out <- (q + p*t)*out + P_n,
+    expands it with non-negative terms only.  Quadratic in the table length.
     """
     p = _check_thinning_fraction(p)
     if len(table) > ORACLE_MAX_LEN:
@@ -128,11 +101,11 @@ def thin_pmf_oracle(table: PmfTable, p: float) -> PmfTable:
     if p == 1.0:
         return table
     probs = table.probs
+    q = 1.0 - p
     out = np.zeros(len(probs))
-    out[0] = probs[0]
-    for n in range(1, len(probs)):
-        pn = probs[n]
-        if pn == 0.0:
-            continue
-        out[: n + 1] += pn * _binomial_row(n, p)
+    out[0] = probs[-1]
+    for n in range(len(probs) - 2, -1, -1):
+        top = len(probs) - n  # out has degree top - 1 after this step
+        out[1:top] = q * out[1:top] + p * out[: top - 1]
+        out[0] = q * out[0] + probs[n]
     return PmfTable(out)

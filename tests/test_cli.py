@@ -3,11 +3,14 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from hermite_counts import PmfTable, reference
 from hermite_counts.cli import main
 
 
@@ -322,6 +325,75 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert lines
         assert all(line.startswith("PASS") for line in lines)
+
+    CHECKS = (
+        ("doubled-poisson thinning sweeps the order-2 family", True),
+        ("zero-gap classification of the base laws", False),
+        ("negative-binomial thinning stability", True),
+        ("alternating-geometric thinning semigroup", True),
+        ("alternating-geometric base normalizes", False),
+        ("alternating-geometric mean is 15p/7", True),
+        ("alternating-geometric pgf matches its series", True),
+    )
+
+    @staticmethod
+    def parse(out):
+        """(status, name, detail or None) per line; the detail is the parenthesized suffix."""
+        lines = out.strip().splitlines()
+        return [re.fullmatch(r"(PASS|FAIL) (.+?)(?: \((.+)\))?", line).groups() for line in lines]
+
+    def test_names_order_and_details(self, capsys):
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 0
+        rows = self.parse(out)
+        assert [name for _, name, _ in rows] == [name for name, _ in self.CHECKS]
+        for (status, _, detail), (_, has_dev) in zip(rows, self.CHECKS):
+            assert status == "PASS"
+            if has_dev:
+                assert re.fullmatch(r"max dev \d\.\d{3}e[+-]\d{2}", detail)
+            else:
+                assert detail is None
+
+    @pytest.mark.parametrize(
+        "p, failing",
+        [
+            # p = 0.125 only thins the doubled Poisson (mean 0.5, eta1 0.25);
+            # p = 0.9 thins the negative binomials and the semigroup's second step
+            (0.125, {"doubled-poisson thinning sweeps the order-2 family"}),
+            (0.9, {"negative-binomial thinning stability", "alternating-geometric thinning semigroup"}),
+        ],
+    )
+    def test_perturbed_identity_fails(self, capsys, monkeypatch, p, failing):
+        oracle = reference.thin_pmf_oracle
+
+        def perturbed(table, fraction):
+            out = oracle(table, fraction)
+            if fraction != p:
+                return out
+            probs = out.probs.copy()
+            probs[np.argmax(probs)] -= 1e-6
+            return PmfTable(probs)
+
+        monkeypatch.setattr(reference, "thin_pmf_oracle", perturbed)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        rows = self.parse(out)
+        assert len(rows) == len(self.CHECKS)
+        assert {name for status, name, _ in rows if status == "FAIL"} == failing
+
+    def test_nan_deviation_fails(self, capsys, monkeypatch):
+        # one NaN among finite deviations must not be lost when taking the worst
+        values = reference.alternating_geometric_pgf_values
+
+        def nan_at_one(p, t):
+            return (math.nan, 1.0) if t == 1.0 else values(p, t)
+
+        monkeypatch.setattr(reference, "alternating_geometric_pgf_values", nan_at_one)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert out.strip().splitlines()[-1] == (
+            "FAIL alternating-geometric pgf matches its series (max dev nan)"
+        )
 
 
 class TestConsoleEntry:

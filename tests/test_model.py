@@ -1,6 +1,7 @@
 """Parameterization conversions, the pgf, and their exact identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hermite_counts import (
     DomainError,
     FactorialCumulants,
     HermiteParams,
+    OverflowGuard,
     adaptive_pmf,
     factorial_cumulants_to_params,
     hermite2_from_mean_variance,
@@ -173,6 +175,18 @@ class TestPgf:
     def test_rejects_non_finite_argument(self):
         with pytest.raises(DomainError):
             pgf_eval(HermiteParams((1.0,)), float("inf"))
+
+    @pytest.mark.parametrize(
+        "a, t", [((1.0,), 1e3), ((1.0, 1.0), 1e200), ((1.0, 1.0), -1e200), ((1e300, 1e300), -1e10)]
+    )
+    def test_overflow_is_guarded_and_names_t(self, a, t):
+        # exp, the float power t**i and fsum's inf - inf each overflow here
+        with pytest.raises(OverflowGuard, match=re.escape(f"t = {t}")) as info:
+            pgf_eval(HermiteParams(a), t)
+        assert isinstance(info.value, OverflowError)
+
+    def test_underflow_is_zero(self):
+        assert pgf_eval(HermiteParams((1.0,)), -1e300) == 0.0
 
 
 class TestHermite2FromMeanVariance:

@@ -85,6 +85,13 @@ class TestNegativeBinomial:
                 target = negative_binomial_pmf(p * mu, eta1, thinned.k_max)
                 np.testing.assert_allclose(thinned.probs, target.probs, atol=1e-10)
 
+    @pytest.mark.parametrize("eta1", [1e-12, 1e-300])
+    def test_poisson_limit_at_tiny_dispersion(self, eta1):
+        # 1/(1 + mean*eta1) rounds to 1 here; the law must still tend to Poisson(mean)
+        for mu in (0.5, 2.0, 7.0):
+            table = negative_binomial_pmf(mu, eta1, 30)
+            np.testing.assert_allclose(table.probs, poisson_table_exact(mu, 30), rtol=0, atol=1e-10)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
             negative_binomial_pmf(0.0, 1.0, 5)
@@ -131,6 +138,10 @@ class TestAlternatingGeometric:
     def test_rejects_bad_fraction(self):
         with pytest.raises(DomainError):
             alternating_geometric_pmf(0.0, 10)
+
+    def test_pgf_rejects_nan_argument(self):
+        with pytest.raises(DomainError):
+            alternating_geometric_pgf_values(0.5, float("nan"))
 
 
 class TestZeroGap:

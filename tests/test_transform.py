@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from hermite_counts import (
     DomainError,
     FactorialCumulants,
     HermiteParams,
+    PmfTable,
     adaptive_pmf,
     add_params,
     convolve_pmf_oracle,
@@ -160,11 +162,22 @@ class TestThinOracle:
             np.testing.assert_allclose(lhs.probs, rhs.probs, atol=1e-10)
 
     def test_near_one_fraction_long_table(self):
-        # mode-anchored binomial rows must survive p near 1 on long tables
+        # the Horner expansion must not lose mass for p near 1 on long tables
         table = pmf_table(HermiteParams((12.0, 4.0, 2.0)), 400)
         thinned = thin_pmf_oracle(table, 0.999)
         direct = pmf_table(thin_params(HermiteParams((12.0, 4.0, 2.0)), 0.999), 400)
         np.testing.assert_allclose(thinned.probs, direct.probs, atol=1e-10)
+
+    @pytest.mark.parametrize("p", [1e-3, 0.37, 0.999])
+    def test_matches_binomial_mixture_definition(self, np_rng, p):
+        # p*_k = sum_n P_n Binomial(n, p)(k), summed with scipy's binomial pmf
+        for _ in range(20):
+            size = int(np_rng.integers(1, 301))
+            probs = np_rng.exponential(size=size) * np_rng.integers(0, 2, size=size)
+            table = PmfTable(probs / max(probs.sum(), 1.0) * np_rng.uniform(0.5, 1.0))
+            n = np.arange(size)
+            want = [float(table.probs @ binom.pmf(k, n, p)) for k in range(size)]
+            np.testing.assert_allclose(thin_pmf_oracle(table, p).probs, want, rtol=0, atol=1e-13)
 
     def test_rejects_bad_fraction(self):
         table = pmf_table(HermiteParams((1.0,)), 5)
