@@ -1,10 +1,14 @@
-"""Fitting: moment-based initialization and box-constrained maximum likelihood.
+"""Fitting: the moment estimator and box-constrained maximum likelihood.
 
 The feasible set is the non-negative orthant in the exponent coefficients,
 so the optimizer is projected gradient ascent (spectral trial steps, Armijo
 backtracking): each trial point costs one pmf recurrence, the accepted
 trial's table also yields the next gradient, the projection is a clamp,
 and second-order machinery adds nothing at these orders.
+
+Likelihood fits climb the nested orders: order 1 starts at its closed-form
+maximum, and each higher order starts at the fit one order down with a
+zero appended, the same point and likelihood in the larger family.
 """
 
 from __future__ import annotations
@@ -15,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CountHistogram
-from .errors import DataError, DomainError, OverflowGuard
+from .errors import DataError, DomainError
 from .model import (
     FactorialCumulants,
     HermiteParams,
     _coeffs_from_factorial_cumulants,
 )
-from .pmf import _gradient, _loglik, _scaled_pmf, log_likelihood
+from .pmf import _gradient, _loglik, _scaled_pmf
 
 #: Armijo line-search constants: sufficient-increase slope and step shrink.
 _ARMIJO_SLOPE = 1e-4
@@ -38,7 +42,10 @@ class FitResult:
     ``grad_norm`` is the Euclidean norm of the gradient projected onto the
     feasible cone (components at an active bound count only when they point
     inward) at the final iterate; ``converged`` means it dropped below
-    tol * (1 + |loglik|) within the iteration budget.
+    tol * (1 + |loglik|) within the iteration budget.  ``init`` is the start:
+    (mean,) at order 1, else the fit one order down with a zero appended.
+    ``iterations`` and ``converged`` describe this order's ascent alone;
+    the iteration budget applies to each order of the ladder separately.
     """
 
     params: HermiteParams
@@ -170,15 +177,6 @@ def mle_iterates(
         a, loglik, step, table = cand, cand_ll, alpha, cand_table
 
 
-def _poisson_max_loglik(hist: CountHistogram) -> float:
-    """The order-1 maximum: sum_k n_k log of the Poisson(mean) mass at k."""
-    mean = hist.mean()
-    log_mean = math.log(mean)
-    return math.fsum(
-        freq * (count * log_mean - mean - math.lgamma(count + 1.0)) for count, freq in hist.bins
-    )
-
-
 def _ascend(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: int) -> FitResult:
     params, loglik, gnorm = init, float("-inf"), float("inf")
     iterations = -1  # the first yield is the initial point, not a step
@@ -195,6 +193,24 @@ def _ascend(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: int
     )
 
 
+def _ladder(hist: CountHistogram, r_max: int, tol: float, max_iter: int):
+    """Yield the fits of orders 1..r_max, each rung started from the one below.
+
+    Order 1 starts at its closed-form maximum (mean,); order r+1 starts at
+    the order-r fit with a zero appended, a point of the larger family with
+    the same likelihood.  Every start is therefore feasible, and since the
+    line search accepts no decrease, the logliks never fall along the ladder.
+    """
+    mean = hist.mean()
+    if mean == 0.0:
+        raise DataError("sample mean is zero; every observation is 0")
+    init = HermiteParams((mean,))
+    for _ in range(r_max):
+        fit = _ascend(hist, init, tol, max_iter)
+        yield fit
+        init = HermiteParams(fit.params.a + (0.0,))
+
+
 def fit_mle(
     hist: CountHistogram,
     r: int,
@@ -204,27 +220,10 @@ def fit_mle(
 ) -> FitResult:
     """Constrained maximum likelihood over coefficients a_i >= 0.
 
-    Starts from :func:`fit_moments`; if that initializer assigns zero
-    probability to an observed count (possible when clamping zeroes a_1 on
-    data with odd counts) or overflows the pmf, falls back to the uniform
-    mean split, which is strictly positive and therefore always feasible.
-    The stopping bound grows with |loglik|, so a start far from the optimum
-    can stop at once; a fit that ends below the Poisson(mean) maximum, which
-    every order contains, by more than tol * (1 + |that maximum|) is redone
-    from (mean, 0, ..., 0), and that fit is reported.
+    Climbs the ladder of :func:`_ladder` from order 1 and returns its order-r
+    fit; ``max_iter`` bounds each rung, and ``init`` is that rung's start.
     """
     if r < 1:
         raise DomainError(f"order must be >= 1, got {r}")
-    init = fit_moments(hist, r)
-    try:
-        feasible = math.isfinite(log_likelihood(init, hist))
-    except OverflowGuard:
-        feasible = False
-    if not feasible:
-        init = _uniform_mean_split(hist.mean(), r)
-    result = _ascend(hist, init, tol, max_iter)
-    poisson = _poisson_max_loglik(hist)
-    if result.loglik < poisson - tol * (1.0 + abs(poisson)):
-        restart = HermiteParams((hist.mean(),) + (0.0,) * (r - 1))
-        result = _ascend(hist, restart, tol, max_iter)
-    return result
+    *_, fit = _ladder(hist, r, tol, max_iter)
+    return fit

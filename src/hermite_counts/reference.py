@@ -58,10 +58,11 @@ def negative_binomial_pmf(mean: float, eta1: float, k_max: int) -> PmfTable:
 
     Parameterized so the pgf is (1 - mean*eta1*(t - 1))**(-1/eta1): shape
     1/eta1, success probability q = 1/(1 + mean*eta1).  Computed as
-    p_0 = exp(-shape * log1p(mean*eta1)) and the ratio recurrence
+    p_0 = exp(-mean * log1p(mean*eta1)/(mean*eta1)) and the ratio recurrence
     p_{k+1} = p_k * (1-q) * (shape + k)/(k + 1), with 1 - q formed as
-    mean*eta1/(1 + mean*eta1): q rounds to 1 as eta1 -> 0, where the law
-    tends to Poisson(mean).
+    mean*eta1/(1 + mean*eta1) and (1-q)*shape as mean/(1 + mean*eta1).
+    Neither forms 1/eta1, which overflows for a subnormal eta1, so as
+    eta1 -> 0 the law tends to Poisson(mean) all the way down.
     """
     mean = float(mean)
     eta1 = float(eta1)
@@ -70,13 +71,13 @@ def negative_binomial_pmf(mean: float, eta1: float, k_max: int) -> PmfTable:
     if not eta1 > 0.0:
         raise DomainError(f"eta1 must be positive, got {eta1}")
     _check_k_max(k_max)
-    shape = 1.0 / eta1
     odds = mean * eta1
     ratio = odds / (1.0 + odds)
+    ratio_shape = mean / (1.0 + odds)
     probs = np.empty(k_max + 1)
-    probs[0] = math.exp(-shape * math.log1p(odds))
+    probs[0] = math.exp(-mean * (math.log1p(odds) / odds if odds > 0.0 else 1.0))
     for k in range(k_max):
-        probs[k + 1] = probs[k] * (ratio * (shape + k)) / (k + 1.0)
+        probs[k + 1] = probs[k] * (ratio_shape + ratio * k) / (k + 1.0)
     return PmfTable(probs)
 
 

@@ -5,6 +5,10 @@ of the feasible set, so the statistic is asymptotically a 50:50 mixture of
 a point mass at zero and chi-square with one degree of freedom: its upper
 alpha tail points coincide with the chi-square upper 2*alpha points, which
 is why the survival probability below is halved.
+
+Each order is fitted from the fit one order down with a zero appended, so
+the nested log-likelihoods never decrease, and an order whose ascent stays
+at that start gives a statistic of exactly zero: the mixture's atom.
 """
 
 from __future__ import annotations
@@ -14,11 +18,7 @@ from dataclasses import dataclass
 
 from .data import CountHistogram
 from .errors import DomainError
-from .estimation import DEFAULT_MAX_ITER, DEFAULT_TOL, FitResult, fit_mle
-
-#: Statistics below this are attributed to optimizer noise on nested fits
-#: and treated as the mixture's atom at zero.
-ZERO_STATISTIC_TOL = 1e-7
+from .estimation import DEFAULT_MAX_ITER, DEFAULT_TOL, FitResult, _ladder
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,25 +76,24 @@ def select_order(
 ) -> SelectionTrace:
     """Forward ladder: accept order r+1 only while its top coefficient tests nonzero.
 
-    Fits order 1 first; each subsequent rung compares the order-(r+1) fit to
-    the order-r fit and stops at the first non-rejection (p >= alpha) or at
-    ``r_max``.  Statistics below ZERO_STATISTIC_TOL are snapped to the atom
-    at zero before the p-value is taken.
+    Fits order 1 first; each subsequent rung fits order r+1 from the order-r
+    fit with a zero appended, compares the two, and the ladder stops at the
+    first non-rejection (p >= alpha) or at ``r_max``.  The fits are those
+    :func:`fit_mle` returns for the same orders; ``max_iter`` bounds each.
     """
     if r_max < 1:
         raise DomainError(f"r_max must be >= 1, got {r_max}")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
 
-    fits = [fit_mle(hist, 1, tol=tol, max_iter=max_iter)]
+    ladder = _ladder(hist, r_max, tol, max_iter)
+    fits = [next(ladder)]
     steps: list[LadderStep] = []
     chosen = 1
-    for alt_order in range(2, r_max + 1):
-        fit_alt = fit_mle(hist, alt_order, tol=tol, max_iter=max_iter)
+    for fit_alt in ladder:
+        statistic = lrt_statistic(fit_alt.loglik, fits[-1].loglik)
         fits.append(fit_alt)
-        statistic = lrt_statistic(fit_alt.loglik, fits[alt_order - 2].loglik)
-        if statistic < ZERO_STATISTIC_TOL:
-            statistic = 0.0
+        alt_order = len(fits)
         p_value = lrt_pvalue(statistic)
         rejected = p_value < alpha
         steps.append(

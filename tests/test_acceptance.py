@@ -36,7 +36,6 @@ from hermite_counts import (
     thinning_invariants,
 )
 from hermite_counts.reference import _alternating_geometric_base
-from hermite_counts.selection import ZERO_STATISTIC_TOL
 
 from conftest import gof_pvalue, poisson_table_exact, scaled_poisson_convolution
 
@@ -275,8 +274,6 @@ def test_criterion_11_boundary_lrt_calibration_and_power():
         batch = sample_hermite(HermiteParams((2.0,)), 10_000, seed=50_000 + rep)
         hist = CountHistogram.from_observations(batch.values)
         d = lrt_statistic(fit_mle(hist, 2).loglik, fit_mle(hist, 1).loglik)
-        if d < ZERO_STATISTIC_TOL:
-            d = 0.0
         rejections += lrt_pvalue(d) < 0.05
     rate = rejections / 200.0
 

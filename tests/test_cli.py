@@ -124,7 +124,7 @@ class TestFitCommand:
         assert code == 0, err
 
     def test_far_apart_pair_beats_poisson(self, tmp_path, capsys):
-        # the moment start's loglik is so low that its stopping bound is met at once
+        # order 2 starts at the Poisson maximum (mean, 0) and ascends from there
         data = tmp_path / "hist.csv"
         data.write_text("count,freq\n0,1\n50000,1\n")
         code, out, err = run_cli(capsys, "fit", str(data), "--order", "2")

@@ -213,20 +213,21 @@ class TestFitMle:
         assert res_raw.iterations == res_agg.iterations
 
     def test_infeasible_moment_init_falls_back(self):
-        # heavily overdispersed data zero a_1 in the moment initializer,
-        # which assigns probability 0 to the lone odd observation; the fit
-        # must restart from the strictly positive uniform mean split
+        # heavily overdispersed data zero a_1 in the moment estimate, which
+        # assigns probability 0 to the lone odd observation; the fit starts
+        # from the order-1 fit with a zero appended instead
         values = [0, 0, 0, 4, 4, 6, 2, 8, 1]
         hist = CountHistogram.from_observations(values)
         assert fit_moments(hist, 2).a[0] == 0.0
         res = fit_mle(hist, 2)
         assert math.isfinite(res.loglik)
-        assert all(x > 0 for x in res.init.a)
+        assert res.init.a == (hist.mean(), 0.0)
 
     def test_far_apart_pair_restarts_from_poisson(self):
-        # the moment start a=(0, 3.1e8) has loglik -6.2e8, so the stopping
-        # bound tol * (1 + |loglik|) held before any step; order 2 contains
-        # Poisson(mean), whose maximum is closed form
+        # order 2 starts at the order-1 fit with a zero appended; a start far
+        # from the optimum, such as the moment estimate a=(0, 3.1e8) with
+        # loglik -6.2e8, would meet the stopping bound tol * (1 + |loglik|)
+        # before any step
         hist = CountHistogram.from_mapping({0: 1, 50000: 1})
         poisson = fit_mle(hist, 1)
         res = fit_mle(hist, 2)
@@ -237,9 +238,9 @@ class TestFitMle:
         assert fitted_mean == pytest.approx(hist.mean(), rel=1e-5)
 
     def test_overflowing_moment_start_falls_back(self):
-        # at order 50 the moment start puts sum_i i*a_i far above 2**400,
-        # where the pmf is refused; the fit starts from the uniform split
+        # at order 50 the moment estimate puts sum_i i*a_i far above 2**400,
+        # where the pmf is refused; the fit starts from the order-49 rung
         hist = CountHistogram.from_mapping({0: 1, 1000: 1})
         res = fit_mle(hist, 50, max_iter=2)
-        assert res.init.a[0] == pytest.approx(hist.mean() / 50, rel=1e-15)
+        assert res.init.a[-1] == 0.0
         assert -100.0 < res.loglik < 0.0

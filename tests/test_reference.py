@@ -92,6 +92,13 @@ class TestNegativeBinomial:
             table = negative_binomial_pmf(mu, eta1, 30)
             np.testing.assert_allclose(table.probs, poisson_table_exact(mu, 30), rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("eta1", [1e-310, 1e-320])
+    @pytest.mark.parametrize("mu", [1.7, 2.0])
+    def test_poisson_limit_at_subnormal_dispersion(self, mu, eta1):
+        # 1/eta1 overflows to inf here; the table must still be Poisson(mean)
+        table = negative_binomial_pmf(mu, eta1, 30)
+        np.testing.assert_allclose(table.probs, poisson_table_exact(mu, 30), rtol=0, atol=1e-10)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
             negative_binomial_pmf(0.0, 1.0, 5)

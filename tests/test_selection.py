@@ -15,7 +15,6 @@ from hermite_counts import (
     sample_hermite,
     select_order,
 )
-from hermite_counts.selection import ZERO_STATISTIC_TOL
 
 
 class TestLrtStatistic:
@@ -122,7 +121,7 @@ class TestMixtureCalibration:
             batch = sample_hermite(HermiteParams((2.0,)), 10_000, seed=220_000 + rep)
             hist = CountHistogram.from_observations(batch.values)
             d = lrt_statistic(fit_mle(hist, 2).loglik, fit_mle(hist, 1).loglik)
-            stats.append(0.0 if d < ZERO_STATISTIC_TOL else d)
+            stats.append(d)
         stats = np.array(stats)
         zero_fraction = float(np.mean(stats == 0.0))
         assert 0.42 <= zero_fraction <= 0.58
@@ -130,3 +129,46 @@ class TestMixtureCalibration:
         # chi-square(1): median 0.455, upper decile point 2.706
         assert abs(float(np.median(positive)) - 0.455) < 0.15
         assert abs(float(np.mean(positive <= 2.706)) - 0.90) < 0.06
+
+
+def _ladder_histograms():
+    truths = [(2.0,), (1.0, 0.5), (1.0, 0.5, 0.25), (0.5, 0.0, 0.4), (0.0, 1.0)]
+    for seed in range(40):
+        batch = sample_hermite(HermiteParams(truths[seed % 5]), 2_000, seed=900 + seed)
+        yield CountHistogram.from_observations(batch.values)
+    # the far-outlier data of the CLI tests: 4,999 draws plus one count
+    base = sample_hermite(HermiteParams((1.0, 0.5)), 4_999, seed=8).values
+    for outlier in (1000, 20000):
+        yield CountHistogram.from_observations(list(base) + [outlier])
+
+
+@pytest.fixture(scope="module")
+def ladders():
+    """(fit_mle for orders 1..4, select_order(r_max=4, alpha=0.5)) per histogram."""
+    return [
+        ([fit_mle(hist, r) for r in range(1, 5)], select_order(hist, 4, 0.5))
+        for hist in _ladder_histograms()
+    ]
+
+
+class TestLadder:
+    def test_loglik_never_falls_with_the_order(self, ladders):
+        # each rung starts at the previous fit with a zero appended, and the
+        # line search accepts no decrease, so this holds exactly
+        for fits, _ in ladders:
+            for lower, upper in zip(fits, fits[1:]):
+                assert upper.loglik >= lower.loglik
+
+    def test_selection_reads_the_same_fits(self, ladders):
+        for fits, trace in ladders:
+            assert trace.fits == tuple(fits[: len(trace.fits)])
+
+    def test_a_rung_that_stays_at_its_start_hits_the_atom(self, ladders):
+        still = 0
+        for _, trace in ladders:
+            for step in trace.steps:
+                if trace.fit_for(step.alt_order).iterations == 0:
+                    still += 1
+                    assert step.statistic == 0.0
+                    assert step.p_value == 1.0
+        assert still > 0
