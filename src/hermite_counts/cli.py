@@ -20,10 +20,11 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .data import CountHistogram
-from .errors import HermiteError
+from .errors import DataError, HermiteError
 from .estimation import FitResult, fit_mle, fit_moments
 from .model import (
     FactorialCumulants,
@@ -52,21 +53,25 @@ class FileFormatError(Exception):
     """Input file could not be parsed (exit code 2)."""
 
 
-def _load_json_object(path: str) -> dict:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_json_object(path: str) -> dict:
+    text = _read_text(path)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to parse
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: expected a JSON object")
     return doc
 
 
-def _numeric_vector(doc: dict, key: str, path: str) -> tuple[float, ...]:
+def _numeric_vector(doc: dict, key: str, path: str) -> list:
     vec = doc[key]
     if (
         not isinstance(vec, list)
@@ -76,7 +81,7 @@ def _numeric_vector(doc: dict, key: str, path: str) -> tuple[float, ...]:
         raise FileFormatError(f"{path}: '{key}' must be a non-empty numeric array")
     if "order" in doc and doc["order"] != len(vec):
         raise FileFormatError(f"{path}: 'order' does not match the length of '{key}'")
-    return tuple(float(x) for x in vec)
+    return vec
 
 
 def _read_model_file(path: str) -> HermiteParams | FactorialCumulants:
@@ -89,34 +94,29 @@ def _read_model_file(path: str) -> HermiteParams | FactorialCumulants:
     return FactorialCumulants(_numeric_vector(doc, "kappa", path))
 
 
+def _as_params(model: HermiteParams | FactorialCumulants) -> HermiteParams:
+    return model if isinstance(model, HermiteParams) else factorial_cumulants_to_params(model)
+
+
 def _params_from_model_file(path: str) -> HermiteParams:
-    model = _read_model_file(path)
-    if isinstance(model, FactorialCumulants):
-        return factorial_cumulants_to_params(model)
-    return model
+    return _as_params(_read_model_file(path))
 
 
 def _read_count_data(path: str) -> CountHistogram:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise FileFormatError(f"{path} contains no data")
     if lines[0].replace(" ", "").lower() == "count,freq":
-        bins: dict[int, int] = {}
+        bins: Counter[int] = Counter()
         for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 2:
-                raise FileFormatError(f"{path}: malformed histogram row {ln!r}")
             try:
-                count, freq = int(parts[0]), int(parts[1])
+                count, freq = map(int, ln.split(","))
             except ValueError as exc:
                 raise FileFormatError(f"{path}: malformed histogram row {ln!r}") from exc
-            if freq == 0:
-                continue
-            bins[count] = bins.get(count, 0) + freq
+            if freq < 0:
+                raise DataError(f"{path}: negative frequency in histogram row {ln!r}")
+            if freq:
+                bins[count] += freq
         if not bins:
             raise FileFormatError(f"{path}: histogram has no observations")
         return CountHistogram.from_mapping(bins)
@@ -232,15 +232,14 @@ def cmd_thin(args: argparse.Namespace) -> int:
 def cmd_convert(args: argparse.Namespace) -> int:
     model = _read_model_file(args.model)
     provenance = _provenance(args, args.model)
-    if args.to == "params":
-        params = model if isinstance(model, HermiteParams) else factorial_cumulants_to_params(model)
-        _emit(_model_doc(params, provenance))
-        return EXIT_OK
     if args.to == "cumulants":
         kappa = params_to_factorial_cumulants(model) if isinstance(model, HermiteParams) else model
         _emit({"order": kappa.order, "kappa": list(kappa.kappa), "provenance": provenance})
         return EXIT_OK
-    params = model if isinstance(model, HermiteParams) else factorial_cumulants_to_params(model)
+    params = _as_params(model)
+    if args.to == "params":
+        _emit(_model_doc(params, provenance))
+        return EXIT_OK
     summary = ordinary_cumulants(params)
     eta = thinning_invariants(summary)
     _emit(

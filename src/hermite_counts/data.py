@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -39,6 +41,8 @@ class CountHistogram:
                 raise DataError(f"count {count} exceeds the supported maximum {MAX_OBSERVED_COUNT}")
             if freq <= 0:
                 raise DataError(f"frequency for count {count} must be positive, got {freq}")
+            if freq > sys.float_info.max:
+                raise DataError(f"frequency for count {count} exceeds the double range")
             pairs.append((count, freq))
         if not pairs:
             raise DataError("histogram is empty")
@@ -51,10 +55,7 @@ class CountHistogram:
     @classmethod
     def from_observations(cls, values: Iterable[int]) -> "CountHistogram":
         """Aggregate raw observations into a histogram."""
-        freq: dict[int, int] = {}
-        for v in values:
-            freq[v] = freq.get(v, 0) + 1
-        return cls(tuple(freq.items()))
+        return cls(tuple(Counter(values).items()))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, int]) -> "CountHistogram":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CountHistogram
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, OverflowGuard
 from .model import (
     FactorialCumulants,
     HermiteParams,
@@ -68,7 +68,10 @@ def sample_factorial_moments(hist: CountHistogram, r: int) -> tuple[float, ...]:
     moments = []
     for k in range(1, r + 1):
         total = sum(freq * math.perm(count, k) for count, freq in hist.bins if count >= k)
-        moments.append(total / n)
+        try:
+            moments.append(total / n)
+        except OverflowError:
+            raise OverflowGuard(f"factorial moment {k} leaves the double range") from None
     return tuple(moments)
 
 
@@ -91,24 +94,18 @@ def factorial_moments_to_cumulants(moments: tuple[float, ...]) -> FactorialCumul
     return FactorialCumulants(tuple(kappa))
 
 
-def _uniform_mean_split(mean: float, r: int) -> HermiteParams:
-    # a_i = mean/(i*r) keeps sum_i i*a_i equal to the sample mean.
-    return HermiteParams(tuple(mean / (i * r) for i in range(1, r + 1)))
-
-
 def fit_moments(hist: CountHistogram, r: int) -> HermiteParams:
     """Moment estimator: sample factorial cumulants, back-substituted and clamped.
 
     Negative coefficients produced by sampling noise are clamped to zero as
     the substitution proceeds, so the result always lies in the feasible set.
+    The last step sets a_1 = mean - sum_{i>=2} i*a_i, which is the positive
+    sample mean itself when every higher coefficient clamps to zero.
     """
     kappa = factorial_moments_to_cumulants(sample_factorial_moments(hist, r))
     if kappa.mean <= 0.0:
         raise DataError("sample mean is zero; every observation is 0")
-    coeffs = _coeffs_from_factorial_cumulants(kappa.kappa, clamp_all=True)
-    if all(c == 0.0 for c in coeffs):
-        return _uniform_mean_split(kappa.mean, r)
-    return HermiteParams(tuple(coeffs))
+    return HermiteParams(tuple(_coeffs_from_factorial_cumulants(kappa.kappa, clamp_all=True)))
 
 
 def _project(a: np.ndarray) -> np.ndarray:
@@ -178,7 +175,6 @@ def mle_iterates(
 
 
 def _ascend(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: int) -> FitResult:
-    params, loglik, gnorm = init, float("-inf"), float("inf")
     iterations = -1  # the first yield is the initial point, not a step
     for params, loglik, gnorm in mle_iterates(hist, init, tol=tol, max_iter=max_iter):
         iterations += 1

@@ -29,6 +29,21 @@ from .errors import DomainError, OverflowGuard
 COEFF_TOL = 1e-9
 
 
+def _sum_or_inf(terms) -> float:
+    """Compensated sum of non-negative terms; inf where it leaves the double range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # finite terms whose sum overflows
+        return math.inf
+
+
+def _doubles(values, name: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(x) for x in values)
+    except OverflowError:  # an integer beyond the double range
+        raise DomainError(f"an entry of {name} is beyond the double range") from None
+
+
 @dataclass(frozen=True, slots=True)
 class HermiteParams:
     """Exponent coefficients a_1..a_r; all non-negative and finite.
@@ -39,7 +54,7 @@ class HermiteParams:
     a: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(x) for x in self.a)
+        coeffs = _doubles(self.a, "a")
         if len(coeffs) < 1:
             raise DomainError("order must be at least 1")
         for i, x in enumerate(coeffs, start=1):
@@ -75,7 +90,7 @@ class FactorialCumulants:
     kappa: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(float(x) for x in self.kappa)
+        values = _doubles(self.kappa, "kappa")
         if len(values) < 1:
             raise DomainError("order must be at least 1")
         for j, x in enumerate(values, start=1):
@@ -128,6 +143,12 @@ class ThinningInvariants:
         return self.eta[2]
 
 
+def _check_convertible(r: int) -> None:
+    # From order 171 on, r! and r!/(r-j)! for j >= r - 3 have no double.
+    if r > 170:
+        raise OverflowGuard(f"factorial cumulants of order {r} leave the double range")
+
+
 def params_to_factorial_cumulants(params: HermiteParams) -> FactorialCumulants:
     """Factorial cumulants of the distribution with exponent coefficients ``params``.
 
@@ -135,6 +156,7 @@ def params_to_factorial_cumulants(params: HermiteParams) -> FactorialCumulants:
     kappa_(j) = sum_{i=j..r} i!/(i-j)! * a_i.
     """
     r = params.order
+    _check_convertible(r)
     a = params.a
     kappa = tuple(
         math.fsum(math.perm(i, j) * a[i - 1] for i in range(j, r + 1))
@@ -147,10 +169,11 @@ def _coeffs_from_factorial_cumulants(kappa: tuple[float, ...], *, clamp_all: boo
     """Triangular back-substitution from kappa_(r) downward.
 
     With ``clamp_all`` every negative coefficient is clamped to zero and the
-    clamped value feeds the remaining substitutions (moment-initializer
+    clamped value feeds the remaining substitutions (moment-estimator
     behaviour); otherwise negatives beyond COEFF_TOL raise.
     """
     r = len(kappa)
+    _check_convertible(r)
     a = [0.0] * r
     for j in range(r, 0, -1):
         resid = kappa[j - 1] - math.fsum(
@@ -180,9 +203,7 @@ def factorial_cumulants_to_params(cumulants: FactorialCumulants) -> HermiteParam
 def ordinary_cumulants(params: HermiteParams) -> CumulantSummary:
     """Mean, variance and third/fourth cumulants via kappa_s = sum_i i**s a_i."""
     a = params.a
-    moments = [
-        math.fsum(i**s * a[i - 1] for i in range(1, len(a) + 1)) for s in (1, 2, 3, 4)
-    ]
+    moments = [_sum_or_inf(i**s * a[i - 1] for i in range(1, len(a) + 1)) for s in (1, 2, 3, 4)]
     return CumulantSummary(mean=moments[0], variance=moments[1], kappa3=moments[2], kappa4=moments[3])
 
 
@@ -192,14 +213,21 @@ def thinning_invariants(summary: CumulantSummary) -> ThinningInvariants:
     eta_1 = (var - mean)/mean**2
     eta_2 = (kappa3 - 3 var + 2 mean)/mean**3
     eta_3 = (kappa4 - 6 kappa3 + 11 var - 6 mean)/mean**4
+
+    No power of the mean is formed: the cumulants are divided by the mean
+    (the quotients lie in [1, r**3] for an order-r model) and the differences
+    then once per remaining power, so every intermediate stays in range
+    wherever the result does.  An eta beyond the double range, such as
+    eta_1 = 1/(2 a_2) at a = (0, 1e-310), is refused with OverflowGuard.
     """
     mu = summary.mean
     if not mu > 0.0:
         raise DomainError(f"mean must be positive to form thinning invariants, got {mu}")
-    eta1 = (summary.variance - mu) / mu**2
-    eta2 = (summary.kappa3 - 3.0 * summary.variance + 2.0 * mu) / mu**3
-    eta3 = (summary.kappa4 - 6.0 * summary.kappa3 + 11.0 * summary.variance - 6.0 * mu) / mu**4
-    return ThinningInvariants((eta1, eta2, eta3))
+    v, t, f = summary.variance / mu, summary.kappa3 / mu, summary.kappa4 / mu
+    eta = ((v - 1.0) / mu, (t - 3.0 * v + 2.0) / mu / mu, (f - 6.0 * t + 11.0 * v - 6.0) / mu / mu / mu)
+    if not all(map(math.isfinite, eta)):
+        raise OverflowGuard(f"the thinning invariants at mean {mu!r} leave the double range")
+    return ThinningInvariants(eta)
 
 
 def pgf_eval(params: HermiteParams, t: float) -> float:

@@ -21,9 +21,9 @@ import numpy as np
 
 from .data import CountHistogram
 from .errors import DomainError, IterationCap, OverflowGuard
-from .model import HermiteParams
+from .model import HermiteParams, _sum_or_inf
 
-#: Hard cap on adaptive table length.
+#: Largest k_max of any table, adaptive or not.
 MAX_TABLE_LEN = 10**7
 
 #: Initial table length for adaptive truncation; grown by doubling.
@@ -87,8 +87,8 @@ class PmfTable:
 
 
 def _check_k_max(k_max: int) -> None:
-    if k_max < 0:
-        raise DomainError(f"k_max must be non-negative, got {k_max}")
+    if not 0 <= k_max <= MAX_TABLE_LEN:
+        raise DomainError(f"k_max must lie in [0, {MAX_TABLE_LEN}], got {k_max}")
 
 
 def _scaled_pmf(a: tuple[float, ...] | list[float], k_max: int) -> tuple[list[float], list[int]]:
@@ -128,7 +128,7 @@ def _scaled_pmf(a: tuple[float, ...] | list[float], k_max: int) -> tuple[list[fl
 def _guarded(params: HermiteParams) -> tuple[float, ...]:
     """The coefficients of ``params``, refused when their mean overflows the engine."""
     terms = [i * c for i, c in enumerate(params.a, start=1)]
-    mean = math.fsum(terms)
+    mean = _sum_or_inf(terms)
     if mean >= _MAX_MEAN:
         i = max(range(len(terms)), key=terms.__getitem__) + 1
         raise OverflowGuard(
@@ -151,11 +151,16 @@ def adaptive_pmf(params: HermiteParams, eps: float) -> PmfTable:
 
     Tables of ADAPTIVE_START, twice as many, ... entries are tried until one
     holds more than 1 - eps; it is then trimmed back to the first index
-    where the accumulated mass exceeds 1 - eps.
+    where the accumulated mass exceeds 1 - eps.  An eps below the rounding
+    floor of the tail mass is refused with DomainError as soon as the table
+    reaches twice the mean and ends in ``order`` zeros: every entry after
+    that is at most half the largest of the ``order`` before it, so it
+    rounds to zero too and no longer table holds more mass.
     """
     eps = float(eps)
     if not (0.0 < eps < 1.0):
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    mean = _sum_or_inf(i * c for i, c in enumerate(params.a, start=1))
     size = ADAPTIVE_START
     while size <= MAX_TABLE_LEN:
         table = pmf_table(params, size)
@@ -167,6 +172,11 @@ def adaptive_pmf(params: HermiteParams, eps: float) -> PmfTable:
             while (cut := table.truncate(k)).tail_mass >= eps:
                 k += 1
             return cut
+        if len(table) >= 2.0 * mean and not table.probs[-params.order :].any():
+            raise DomainError(
+                f"eps = {eps!r} is below the rounding floor of this law's tail mass,"
+                f" which stays at {table.tail_mass!r}"
+            )
         size *= 2
     raise IterationCap(f"tail mass still >= {eps} at table length {MAX_TABLE_LEN}")
 
@@ -182,16 +192,13 @@ def _loglik(m: list[float], e: list[int], hist: CountHistogram) -> float:
 
 
 def _gradient(m: list[float], e: list[int], hist: CountHistogram, r: int) -> np.ndarray:
+    # Every observed count has p_k > 0 here: the ascent only visits points of
+    # finite likelihood, and loglik_gradient checks its input.
     grad = np.empty(r)
     for j in range(1, r + 1):
         terms = []
         for count, freq in hist.bins:
-            mk = m[count]
-            if mk <= 0.0:
-                raise DomainError(
-                    f"observed count {count} has zero probability; gradient undefined"
-                )
-            ratio = math.ldexp(m[count - j] / mk, e[count - j] - e[count]) if count >= j else 0.0
+            ratio = math.ldexp(m[count - j] / m[count], e[count - j] - e[count]) if count >= j else 0.0
             terms.append(freq * (ratio - 1.0))
         grad[j - 1] = math.fsum(terms)
     return grad
@@ -213,4 +220,8 @@ def loglik_gradient(params: HermiteParams, hist: CountHistogram) -> np.ndarray:
     d p_k / d a_j = p_{k-j} [k >= j] - p_k, hence
     d l / d a_j = sum_k n_k (p_{k-j}/p_k - 1).
     """
-    return _gradient(*_scaled_pmf(_guarded(params), hist.max_count), hist, params.order)
+    m, e = _scaled_pmf(_guarded(params), hist.max_count)
+    for count, _ in hist.bins:
+        if m[count] <= 0.0:
+            raise DomainError(f"observed count {count} has zero probability; gradient undefined")
+    return _gradient(m, e, hist, params.order)

@@ -105,15 +105,14 @@ def _poisson_sampler(rate: float):
         return lambda rng: 0
     if rate <= _POISSON_INVERSION_MAX:
         first = math.exp(-rate)
-        # A uniform above the representable cdf limit cannot occur with
-        # meaningful probability; cap the search defensively.
-        cap = int(rate + 60.0 * math.sqrt(rate) + 200.0)
 
+        # At rates up to 30 the terms underflow to 0 by k = 430, which ends
+        # the search even where the rounded cdf stays below u.
         def invert(rng: SplitMix64) -> int:
             u = rng.next_float()
             k = 0
             term = cum = first
-            while u >= cum and k < cap:
+            while u >= cum:
                 k += 1
                 term *= rate / k
                 cum += term
@@ -131,7 +130,7 @@ def _poisson_sampler(rate: float):
     def reject(rng: SplitMix64) -> int:
         while True:
             u = rng.next_float()
-            if u <= 0.0 or u >= 1.0:
+            if u == 0.0:
                 continue
             x = (alpha - math.log((1.0 - u) / u)) / beta
             n = math.floor(x + 0.5)

@@ -41,8 +41,6 @@ def thin_params(params: HermiteParams, p: float) -> HermiteParams:
     which stays non-negative whenever the input does.
     """
     p = _check_thinning_fraction(p)
-    if p == 1.0:
-        return params
     a = params.a
     r = len(a)
     q = 1.0 - p

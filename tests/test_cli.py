@@ -317,6 +317,30 @@ class TestConvertCommand:
         _, pmf_second, _ = run_cli(capsys, "pmf", emitted2, "--k-max", "40")
         assert pmf_first == pmf_second
 
+    @pytest.mark.parametrize(
+        "a", [[1e-200], [1e200], [1e150, 1e150]], ids=str
+    )
+    def test_summary_at_extreme_means_is_finite(self, tmp_path, capsys, a):
+        # mu**2 underflowed to a ZeroDivisionError, mu**4 overflowed
+        model = write_model(tmp_path, a=a)
+        code, out, _ = run_cli(capsys, "convert", model, "--to", "summary")
+        assert code == 0
+        assert all(math.isfinite(x) for x in json.loads(out)["eta"])
+
+    def test_summary_of_tiny_cumulants_is_finite(self, tmp_path, capsys):
+        model = write_model(tmp_path, kappa=[1e-200])
+        code, out, _ = run_cli(capsys, "convert", model, "--to", "summary")
+        assert code == 0
+        assert json.loads(out)["eta"] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("a", [[0.0, 1e-310], [1e308, 4e307]], ids=str)
+    def test_summary_beyond_the_double_range_refused(self, tmp_path, capsys, a):
+        # eta_1 = 1/(2 a_2) = 5e309; the mean itself overflows
+        model = write_model(tmp_path, a=a)
+        code, out, err = run_cli(capsys, "convert", model, "--to", "summary")
+        assert (code, out) == (3, "")
+        assert "double range" in err
+
 
 class TestVerifyCommand:
     def test_all_pass(self, capsys):
@@ -415,3 +439,120 @@ class TestConsoleEntry:
             text=True,
         )
         assert proc.returncode == 2
+
+
+class TestInputErrors:
+    """Each way an input file can be unusable, with its documented exit code."""
+
+    @pytest.mark.parametrize("command", [["pmf", "--k-max", "3"], ["fit", "--order", "1"]], ids=["model", "data"])
+    def test_missing_file(self, tmp_path, capsys, command):
+        name, *options = command
+        code, out, err = run_cli(capsys, name, str(tmp_path / "absent"), *options)
+        assert (code, out) == (2, "")
+        assert "cannot read" in err
+
+    @pytest.mark.parametrize("command", [["pmf", "--k-max", "3"], ["fit", "--order", "1"]], ids=["model", "data"])
+    def test_file_that_is_not_text(self, tmp_path, capsys, command):
+        path = tmp_path / "binary"
+        path.write_bytes(b"\xff\xfe\x00\x81")
+        name, *options = command
+        code, _, err = run_cli(capsys, name, str(path), *options)
+        assert code == 2
+        assert "cannot read" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ['[1.0, 0.5]', '{"a": ["one"]}', '{"a": [true]}', '{"a": []}', '{"a": 2.0}', '{"order": 1}',
+         '{"a": [1.0], "kappa": [1.0]}', '{"a": [' + "1" * 5000 + "]}"],
+        ids=["array", "string-entry", "bool-entry", "empty", "scalar", "neither-key", "both-keys", "unparsable-int"],
+    )
+    def test_malformed_model_document(self, tmp_path, capsys, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "pmf", str(path), "--k-max", "3")
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize(
+        "command",
+        [["pmf", "--k-max", "3"], ["thin", "--p", "0.5"], ["sample", "--n", "5", "--seed", "1"],
+         ["convert", "--to", "params"], ["convert", "--to", "summary"]],
+        ids=["pmf", "thin", "sample", "convert-params", "convert-summary"],
+    )
+    @pytest.mark.parametrize("key", ["a", "kappa"])
+    def test_integer_beyond_the_double_range(self, tmp_path, capsys, command, key):
+        # a 401-digit literal: float() overflows where 1e400 gives inf
+        model = write_model(tmp_path, **{key: [1, 10**400]})
+        name, *options = command
+        code, out, err = run_cli(capsys, name, model, *options)
+        assert (code, out) == (3, "")
+        assert "double range" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["pmf", "--k-max", "6"], ["thin", "--p", "0.5"], ["sample", "--n", "50", "--seed", "9"]],
+        ids=["pmf", "thin", "sample"],
+    )
+    def test_kappa_document_matches_its_coefficients(self, tmp_path, capsys, command):
+        name, *options = command
+        # one file name for both, since thin's provenance records it
+        by_a = run_cli(capsys, name, write_model(tmp_path, name="a.json", a=[1.0, 0.5]), *options)
+        by_kappa = run_cli(capsys, name, write_model(tmp_path, name="a.json", kappa=[2.0, 1.0]), *options)
+        assert by_kappa == by_a
+        assert by_a[0] == 0
+
+    def test_k_max_above_the_table_bound(self, tmp_path, capsys, monkeypatch):
+        import hermite_counts.pmf as pmf_mod
+
+        monkeypatch.setattr(pmf_mod, "MAX_TABLE_LEN", 100)
+        model = write_model(tmp_path, a=[1.0])
+        code, out, err = run_cli(capsys, "pmf", model, "--k-max", "101")
+        assert (code, out) == (3, "")
+        assert "k_max" in err
+
+    def test_eps_below_the_rounding_floor(self, tmp_path, capsys):
+        model = write_model(tmp_path, a=[915.6998783803818, 0.8973765121148648])
+        code, out, err = run_cli(capsys, "pmf", model, "--eps", "6.37e-15")
+        assert (code, out) == (3, "")
+        assert "rounding floor" in err
+
+    @pytest.mark.parametrize(
+        "rows", ["3,5,1", "3", "3;5", "three,5", "3,5.0"], ids=["three-fields", "one-field", "semicolon", "word", "float"]
+    )
+    def test_malformed_histogram_row(self, tmp_path, capsys, rows):
+        data = tmp_path / "hist.csv"
+        data.write_text(f"count,freq\n1,2\n{rows}\n")
+        code, out, err = run_cli(capsys, "fit", str(data), "--order", "1")
+        assert (code, out) == (2, "")
+        assert "malformed histogram row" in err
+
+    @pytest.mark.parametrize("rows", ["", "1,0\n2,0\n"], ids=["header-only", "zero-frequencies"])
+    def test_histogram_without_observations(self, tmp_path, capsys, rows):
+        data = tmp_path / "hist.csv"
+        data.write_text("count,freq\n" + rows)
+        code, _, err = run_cli(capsys, "fit", str(data), "--order", "1")
+        assert code == 2
+        assert "no observations" in err
+
+    def test_zero_rows_skipped_and_duplicate_rows_summed(self, tmp_path, capsys):
+        merged = tmp_path / "merged.csv"
+        merged.write_text("count,freq\n0,2\n3,7\n")
+        split = tmp_path / "split.csv"
+        split.write_text("count,freq\n3,5\n5,0\n0,2\n3,2\n")
+        _, first, _ = run_cli(capsys, "fit", str(merged), "--order", "2")
+        _, second, _ = run_cli(capsys, "fit", str(split), "--order", "2")
+        assert json.loads(first)["a"] == json.loads(second)["a"]
+
+    def test_negative_frequency(self, tmp_path, capsys):
+        # it used to cancel against another row of the same count
+        data = tmp_path / "hist.csv"
+        data.write_text("count,freq\n3,5\n3,-2\n1,1\n")
+        code, out, err = run_cli(capsys, "fit", str(data), "--order", "1")
+        assert (code, out) == (3, "")
+        assert "negative frequency" in err
+
+    def test_frequency_beyond_the_double_range(self, tmp_path, capsys):
+        data = tmp_path / "hist.csv"
+        data.write_text(f"count,freq\n1,{10**400}\n3,5\n")
+        code, out, err = run_cli(capsys, "fit", str(data), "--order", "1")
+        assert (code, out) == (3, "")
+        assert "double range" in err

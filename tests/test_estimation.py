@@ -8,7 +8,9 @@ import pytest
 from hermite_counts import (
     CountHistogram,
     DataError,
+    DomainError,
     HermiteParams,
+    OverflowGuard,
     factorial_moments_to_cumulants,
     fit_mle,
     fit_moments,
@@ -17,7 +19,7 @@ from hermite_counts import (
     sample_factorial_moments,
     sample_hermite,
 )
-from hermite_counts.estimation import mle_iterates
+from hermite_counts.estimation import DEFAULT_TOL, _ascend, mle_iterates
 
 
 class TestCountHistogram:
@@ -50,6 +52,15 @@ class TestCountHistogram:
         with pytest.raises(DataError):
             CountHistogram.from_mapping({10**6 + 1: 1})
 
+    def test_duplicate_counts_rejected(self):
+        with pytest.raises(DataError, match="distinct"):
+            CountHistogram(((1, 2), (3, 1), (1, 4)))
+
+    def test_frequency_beyond_the_double_range_rejected(self):
+        # it passed, and the likelihood then overflowed converting it
+        with pytest.raises(DataError, match="double range"):
+            CountHistogram.from_mapping({1: 10**400, 3: 5})
+
     def test_representation_invariance(self):
         raw = CountHistogram.from_observations([3, 1, 1, 0, 3, 3])
         aggregated = CountHistogram.from_mapping({0: 1, 1: 2, 3: 3})
@@ -68,6 +79,17 @@ class TestSampleFactorialMoments:
     def test_hand_computed(self):
         hist = CountHistogram.from_mapping({0: 1, 1: 1, 2: 1, 3: 1})
         assert sample_factorial_moments(hist, 2) == (1.5, 2.0)
+
+    def test_order_below_one(self):
+        with pytest.raises(DomainError):
+            sample_factorial_moments(CountHistogram.from_mapping({2: 1}), 0)
+
+    def test_moment_beyond_the_double_range_refused(self):
+        # 10**6 * (10**6 - 1) * ... over 52 factors exceeds the largest double
+        hist = CountHistogram.from_mapping({0: 1, 10**6: 1})
+        assert sample_factorial_moments(hist, 51)[-1] > 1e300
+        with pytest.raises(OverflowGuard):
+            sample_factorial_moments(hist, 52)
 
 
 class TestFactorialMomentsToCumulants:
@@ -162,6 +184,31 @@ class TestFitMle:
         hist = CountHistogram.from_mapping({0: 25})
         with pytest.raises(DataError):
             fit_mle(hist, 2)
+
+    def test_order_below_one(self):
+        with pytest.raises(DomainError):
+            fit_mle(CountHistogram.from_mapping({0: 5, 1: 5}), 0)
+
+    def test_start_with_zero_likelihood_rejected(self):
+        # a = (0, 0.5) puts all mass on even counts
+        hist = CountHistogram.from_mapping({1: 1, 2: 1})
+        with pytest.raises(DomainError, match="zero likelihood"):
+            next(mle_iterates(hist, HermiteParams((0.0, 0.5))))
+
+    def test_stops_when_the_step_rounds_to_no_movement(self):
+        # tol = 0 never converges; at the Poisson maximum the step soon moves nothing
+        hist = CountHistogram.from_mapping({0: 3, 1: 5, 2: 2})
+        logliks = [ll for _, ll, _ in mle_iterates(hist, HermiteParams((hist.mean(),)), tol=0.0, max_iter=100)]
+        assert len(logliks) - 1 < 100
+        assert all(b >= a for a, b in zip(logliks, logliks[1:]))
+
+    def test_stops_when_no_step_above_the_floor_improves(self):
+        # the first acceptable step from here is ~1e-30, below the 1e-18 floor
+        hist = CountHistogram.from_mapping({0: 1, 1000: 1})
+        init = HermiteParams((500.0,) + (0.0,) * 49)
+        fit = _ascend(hist, init, DEFAULT_TOL, 100)
+        assert fit.iterations < 100
+        assert fit.loglik >= log_likelihood(init, hist)
 
     def test_loglik_never_below_initializer(self):
         batch = sample_hermite(HermiteParams((1.0, 0.5, 0.2)), 5_000, seed=29)

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,11 @@ class TestHermiteParams:
         with pytest.raises(DomainError):
             HermiteParams(())
 
+    def test_rejects_integers_beyond_the_double_range(self):
+        # float() overflows on these; 1e400 as a float literal is inf already
+        with pytest.raises(DomainError, match="double range"):
+            HermiteParams((1.0, 10**400))
+
     def test_all_zero_is_legal_point_mass(self):
         params = HermiteParams((0.0, 0.0))
         assert params.is_degenerate()
@@ -66,6 +72,23 @@ class TestFactorialCumulantConversion:
     def test_inverse_rejects_inadmissible(self):
         with pytest.raises(DomainError):
             factorial_cumulants_to_params(FactorialCumulants((1.0, -0.5)))
+
+    @pytest.mark.parametrize(
+        "kappa",
+        [(), (1.0, math.inf), (1.0, math.nan), (-0.5, 1.0), (10**400,)],
+        ids=["empty", "inf", "nan", "negative-mean", "integer-beyond-double"],
+    )
+    def test_cumulants_rejected_at_construction(self, kappa):
+        with pytest.raises(DomainError):
+            FactorialCumulants(kappa)
+
+    def test_orders_past_170_are_refused_both_ways(self):
+        # 171! has no double, so neither conversion can be formed
+        with pytest.raises(OverflowGuard):
+            params_to_factorial_cumulants(HermiteParams((1.0,) + (0.0,) * 198 + (1e-3,)))
+        with pytest.raises(OverflowGuard):
+            factorial_cumulants_to_params(FactorialCumulants((1.0,) * 171))
+        assert params_to_factorial_cumulants(HermiteParams((1.0,) + (0.0,) * 169)).kappa[0] == 1.0
 
     def test_round_trip_random(self, np_rng):
         for _ in range(300):
@@ -146,6 +169,32 @@ class TestThinningInvariants:
             eta = thinning_invariants(ordinary_cumulants(params))
             expected = [kappa4[i] / mu ** (i + 1) for i in range(1, 4)]
             np.testing.assert_allclose(eta.eta, expected, rtol=1e-10, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "a", [(1e-200,), (1e200,), (1e150, 1e150), (2.0, 0.0, 1e-3)], ids=str
+    )
+    def test_extreme_means_give_finite_ratios(self, a):
+        # mu**2 underflowed (ZeroDivisionError) and mu**4 overflowed (OverflowError)
+        # exact rationals: eta_j = kappa_(j+1) / mean**(j+1), kappa_(j) = sum_i i!/(i-j)! a_i;
+        # the rounding allowed is that of cumulant quotients up to r**3 = 8, over mean**j
+        kappa = [sum(math.perm(i, j) * Fraction(x) for i, x in enumerate(a, start=1)) for j in range(1, 5)]
+        mu = kappa[0]
+        eta = thinning_invariants(ordinary_cumulants(HermiteParams(a))).eta
+        for j, value in enumerate(eta, start=1):
+            exact = kappa[j] / mu ** (j + 1)
+            assert abs(Fraction(value) - exact) <= Fraction(1e-14) * (abs(exact) + 8 / mu**j)
+
+    def test_cumulant_summary_at_tiny_mean(self):
+        from hermite_counts import CumulantSummary
+
+        eta = thinning_invariants(CumulantSummary(1e-200, 1e-200, 1e-200, 1e-200))
+        assert eta.eta == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("a", [(0.0, 1e-310), (1e308, 4e307), (0.0,) * 9 + (1e305,)], ids=str)
+    def test_ratios_beyond_the_double_range_refused(self, a):
+        # eta_1 = 1/(2 a_2) = 5e309; a summed mean past the double range; kappa_4 = inf
+        with pytest.raises(OverflowGuard):
+            thinning_invariants(ordinary_cumulants(HermiteParams(a)))
 
     def test_high_orders_vanish(self):
         # order-r family: eta_j = 0 for j >= r

@@ -12,6 +12,7 @@ from hermite_counts import (
     HermiteParams,
     IterationCap,
     OverflowGuard,
+    PmfTable,
     adaptive_pmf,
     log_likelihood,
     loglik_gradient,
@@ -64,6 +65,24 @@ class TestPmfTable:
         with pytest.raises(DomainError):
             pmf_table(HermiteParams((1.0,)), -1)
 
+    def test_k_max_above_the_table_bound_rejected(self, monkeypatch):
+        # the bound is checked before anything is allocated
+        import hermite_counts.pmf as pmf_mod
+
+        monkeypatch.setattr(pmf_mod, "MAX_TABLE_LEN", 100)
+        assert len(pmf_table(HermiteParams((1.0,)), 100)) == 101
+        with pytest.raises(DomainError, match="k_max"):
+            pmf_table(HermiteParams((1.0,)), 101)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[], [[0.5, 0.5]], [0.5, math.nan], [0.5, math.inf], [1.2, -0.2], [0.7, 0.4]],
+        ids=["empty", "two-dimensional", "nan", "inf", "negative", "mass-above-one"],
+    )
+    def test_invalid_vectors_rejected(self, probs):
+        with pytest.raises(DomainError):
+            PmfTable(np.array(probs))
+
     def test_rate_where_exp_underflows_matches_poisson(self):
         # exp(-800) underflows; the oracle forms log p_k from math.lgamma instead.
         lam, k_max = 800.0, 1400
@@ -115,6 +134,29 @@ class TestAdaptivePmf:
             with pytest.raises(DomainError):
                 adaptive_pmf(HermiteParams((1.0,)), eps)
 
+    def test_eps_below_the_rounding_floor_refused_at_once(self, monkeypatch):
+        # The fsum tail of this law stalls at 1.02e-14 from 4,096 entries on;
+        # doubling to 10**7 entries would only append exact zeros.
+        import hermite_counts.pmf as pmf_mod
+
+        sizes = []
+
+        def spy(params, k_max):
+            sizes.append(k_max)
+            assert k_max <= 2**13, "built a table past the rounding floor"
+            return pmf_table(params, k_max)
+
+        monkeypatch.setattr(pmf_mod, "pmf_table", spy)
+        with pytest.raises(DomainError, match=r"6\.37e-15.*1\.02\d*e-14"):
+            adaptive_pmf(HermiteParams((915.6998783803818, 0.8973765121148648)), 6.37e-15)
+        assert max(sizes) <= 2**13
+
+    def test_gapped_law_is_not_mistaken_for_the_floor(self):
+        # zeros at k = 177..199 are followed by mass from a_200
+        table = adaptive_pmf(HermiteParams((1.0,) + (0.0,) * 198 + (1e-3,)), 1e-9)
+        assert len(table) == 406
+        assert table.tail_mass < 1e-9
+
     def test_iteration_cap(self, monkeypatch):
         import hermite_counts.pmf as pmf_mod
 
@@ -161,6 +203,17 @@ class TestLogLikelihood:
         hist = CountHistogram.from_mapping({1: 2, 3: 2})
         with pytest.raises(OverflowGuard, match="a_2"):
             evaluate(HermiteParams((1.0, 1e300)), hist)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [lambda params, hist: pmf_table(params, 3), lambda params, hist: adaptive_pmf(params, 1e-12), log_likelihood],
+        ids=["pmf_table", "adaptive_pmf", "log_likelihood"],
+    )
+    def test_mean_beyond_the_double_range_is_guarded(self, evaluate):
+        # every term i*a_i is finite, but their sum overflows
+        hist = CountHistogram.from_mapping({1: 2})
+        with pytest.raises(OverflowGuard):
+            evaluate(HermiteParams((1e308, 4e307)), hist)
 
 
 class TestLoglikGradient:

@@ -9,6 +9,7 @@ from scipy.stats import nbinom
 from hermite_counts import (
     DomainError,
     HermiteParams,
+    PmfTable,
     alternating_geometric_pgf_values,
     alternating_geometric_pmf,
     doubled_poisson_pmf,
@@ -151,6 +152,21 @@ class TestAlternatingGeometric:
             alternating_geometric_pgf_values(0.5, float("nan"))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda k_max: doubled_poisson_pmf(0.25, k_max), lambda k_max: negative_binomial_pmf(2.0, 0.5, k_max)],
+    ids=["doubled_poisson", "negative_binomial"],
+)
+def test_k_max_above_the_table_bound_rejected(monkeypatch, build):
+    # checked before the k_max + 1 doubles are allocated
+    import hermite_counts.pmf as pmf_mod
+
+    monkeypatch.setattr(pmf_mod, "MAX_TABLE_LEN", 100)
+    assert len(build(100)) == 101
+    with pytest.raises(DomainError, match="k_max"):
+        build(101)
+
+
 class TestZeroGap:
     def test_doubled_poisson_has_gap(self):
         assert has_zero_gap(doubled_poisson_pmf(0.25, 20))
@@ -160,6 +176,9 @@ class TestZeroGap:
 
     def test_poisson_has_none(self):
         assert not has_zero_gap(pmf_table(HermiteParams((1.0,)), 20))
+
+    def test_all_zero_table_has_none(self):
+        assert not has_zero_gap(PmfTable(np.zeros(4)))
 
     def test_trailing_zeros_are_not_gaps(self):
         table = pmf_table(HermiteParams((0.001,)), 400)

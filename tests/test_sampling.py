@@ -85,6 +85,10 @@ class TestSampleBinomial:
         draws = [sample_binomial(200, 0.3, rng) for _ in range(50_000)]
         assert abs(np.mean(draws) - 60.0) < 4.0 * np.sqrt(200 * 0.3 * 0.7 / 50_000)
 
+    def test_negative_trials_rejected(self):
+        with pytest.raises(DomainError):
+            sample_binomial(-1, 0.5, SplitMix64(2))
+
     def test_complement_branch(self):
         rng = SplitMix64(4)
         draws = [sample_binomial(200, 0.97, rng) for _ in range(20_000)]
@@ -207,6 +211,27 @@ GOLDEN_HERMITE = {
     (2**64 - 1, (0.0, 0.7)): "141a6a73beddfa5c1599ea886a3d813a3a47b0c48e354e3b08a1fab665857bc0",
 }
 
+#: SHA-256 of 5000 draws at the extremes of both Poisson samplers: a rate whose
+#: cdf search ends at once, the largest inverted rate, rejection at two
+#: components, and rejection far out to the component rate limit.
+GOLDEN_HERMITE_RATES = {
+    (0, (0.001,)): "4532a272aec3b4ec6662e3feef59fba1f990658e18a943b08be84f19e219c005",
+    (0, (30.0,)): "c8b71d1662acc105e37662b989ba0ffc9bfc3acddaa3107ac2188a5f2bd0a2e0",
+    (0, (40.0, 10.0)): "6bc8f41ec173f71aecc1a5e8aec3c6cc16740de0b8b6a27cc96befe3665fd672",
+    (0, (1e4,)): "cc7575c663763c1d4fabbd6629433e27dbbc1235d69efe33fa49340873af8a86",
+    (0, (1e6,)): "d13403180d49b57bdaf2e1d1886dc842220c23d8ed434bc4b662b0fd6f52e6f8",
+    (42, (0.001,)): "3eabc61139f4a9b0bdd093137a7bea5d265c77e6a986b30d5c5acbc6a555c117",
+    (42, (30.0,)): "a181ef5d9ae284dcbfcbdf0eff29a3582dc0329da311f5569f33abf608410e02",
+    (42, (40.0, 10.0)): "189b09b3c1aea315265a49a38abafac5bdd21a2a1a838d28ebfede8bed38395b",
+    (42, (1e4,)): "c6711206da5e91913fa32f7dc715cac64139a507665294a4584aa2a4b26d9de2",
+    (42, (1e6,)): "d330b6355de7ac27acf4ead9190543b8d66c15a12558b21691e84eea40af8414",
+    (2**64 - 1, (0.001,)): "1bfffea3d452808151d5bf70d7446d01ed21cf653ff14ccee3c16cbabb78ab10",
+    (2**64 - 1, (30.0,)): "bbdae2258a0e6dea982190d8d49254e0ae368021b12b3a578167e46bb966edc1",
+    (2**64 - 1, (40.0, 10.0)): "00610004fab62fc095ac90954852bef1b25fa51a4f185f5d4bd41caa855651ae",
+    (2**64 - 1, (1e4,)): "4f4234e58bccb32ca7a99914837a1d49b8f1130c781dbb6b34a9922406c94e87",
+    (2**64 - 1, (1e6,)): "6265387b949fdf00336f361fad4b875977d7930b08a61f375fbf289db665c34c",
+}
+
 
 class TestGoldenStreams:
     @pytest.mark.parametrize("p", FRACTIONS)
@@ -220,6 +245,12 @@ class TestGoldenStreams:
     def test_sample_hermite_stream(self, seed, a):
         values = sample_hermite(HermiteParams(a), 5000, seed).values
         assert stream_digest(values) == GOLDEN_HERMITE[(seed, a)]
+
+    @pytest.mark.parametrize("a", sorted({a for _, a in GOLDEN_HERMITE_RATES}), ids=str)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sample_hermite_stream_at_extreme_rates(self, seed, a):
+        values = sample_hermite(HermiteParams(a), 5000, seed).values
+        assert stream_digest(values) == GOLDEN_HERMITE_RATES[(seed, a)]
 
     @pytest.mark.parametrize("p", FRACTIONS)
     def test_thin_sample_matches_scalar_oracle(self, p):

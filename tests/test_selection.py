@@ -90,6 +90,10 @@ class TestSelectOrder:
             with pytest.raises(DomainError):
                 select_order(hist, 2, alpha)
 
+    def test_r_max_below_one(self):
+        with pytest.raises(DomainError):
+            select_order(CountHistogram.from_mapping({0: 5, 1: 5}), 0, 0.05)
+
     def test_r_max_one_fits_only_base(self):
         batch = sample_hermite(HermiteParams((2.0,)), 1_000, seed=5)
         hist = CountHistogram.from_observations(batch.values)
