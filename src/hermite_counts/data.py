@@ -46,6 +46,9 @@ class CountHistogram:
             pairs.append((count, freq))
         if not pairs:
             raise DataError("histogram is empty")
+        # A larger total lets the likelihood's sum of freq * log p_k overflow.
+        if sum(f for _, f in pairs) > 2**53:
+            raise DataError("total frequency n exceeds 2**53, where counts stop being exact doubles")
         pairs.sort()
         counts = [c for c, _ in pairs]
         if len(set(counts)) != len(counts):

@@ -1,10 +1,12 @@
 """Fitting: the moment estimator and box-constrained maximum likelihood.
 
 The feasible set is the non-negative orthant in the exponent coefficients,
-so the optimizer is projected gradient ascent (spectral trial steps, Armijo
-backtracking): each trial point costs one pmf recurrence, the accepted
-trial's table also yields the next gradient, the projection is a clamp,
-and second-order machinery adds nothing at these orders.
+and every maximum over it has the sample mean: by the score identity
+sum_j j*a_j*dl/da_j = n*(mean - sum_j j*a_j).  The optimizer is therefore
+projected gradient ascent (spectral trial steps, Armijo backtracking) on
+the mean slice {a >= 0, sum_i i*a_i = mean}: each trial point costs one
+pmf recurrence, the accepted trial's table also yields the next gradient,
+and the projection onto the slice is a sort of r breakpoints.
 
 Likelihood fits climb the nested orders: order 1 starts at its closed-form
 maximum, and each higher order starts at the fit one order down with a
@@ -39,9 +41,12 @@ DEFAULT_MAX_ITER = 10_000
 class FitResult:
     """Outcome of a likelihood fit.
 
-    ``grad_norm`` is the Euclidean norm of the gradient projected onto the
-    feasible cone (components at an active bound count only when they point
-    inward) at the final iterate; ``converged`` means it dropped below
+    The fit lies on the mean slice S = {a >= 0, sum_i i*a_i = mean}, so its
+    mean matches the sample mean to rounding.  ``grad_norm`` is |P(a + g) - a|
+    at the final iterate a, with g the gradient and P the projection onto S:
+    the gradient along S, less the components that push through an active
+    bound.  It is zero exactly at a stationary point on S, and at order 1,
+    where S is the single point (mean,).  ``converged`` means it dropped below
     tol * (1 + |loglik|) within the iteration budget.  ``init`` is the start:
     (mean,) at order 1, else the fit one order down with a zero appended.
     ``iterations`` and ``converged`` describe this order's ascent alone;
@@ -108,15 +113,28 @@ def fit_moments(hist: CountHistogram, r: int) -> HermiteParams:
     return HermiteParams(tuple(_coeffs_from_factorial_cumulants(kappa.kappa, clamp_all=True)))
 
 
-def _project(a: np.ndarray) -> np.ndarray:
-    return np.maximum(a, 0.0)
+def _onto_slice(y: np.ndarray, mean: float) -> np.ndarray:
+    """Euclidean projection of ``y`` onto the slice {a >= 0, sum_i i*a_i = mean}.
 
-
-def _projected_gradient(a: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    g = grad.copy()
-    at_bound = a <= 0.0
-    g[at_bound] = np.maximum(g[at_bound], 0.0)
-    return g
+    The projection is max(y_i - tau*i, 0) for the one tau that puts it on the
+    slice.  sum_i i*max(y_i - tau*i, 0) falls as tau grows, with a kink at
+    each breakpoint y_i/i; taking the breakpoints in decreasing order, the
+    top j coordinates active give tau_j = (sum i*y_i - mean) / sum i**2 over
+    them, and the active set is the longest prefix whose last breakpoint
+    still exceeds its tau_j.  ``mean`` must be positive.
+    """
+    w = np.arange(1.0, len(y) + 1.0)
+    order = np.argsort(-y / w, kind="stable")
+    wo, yo = w[order], y[order]
+    taus = (np.cumsum(wo * yo) - mean) / np.cumsum(wo * wo)
+    top = int(np.flatnonzero(yo / wo > taus)[-1])
+    k, wk = order[: top + 1], wo[: top + 1]
+    z = np.zeros_like(y)
+    z[k] = np.maximum(yo[: top + 1] - taus[top] * wk, 0.0)
+    # A long step cancels in that subtraction; a second pass on the same
+    # coordinates puts its rounding residue back on the slice.
+    z[k] = np.maximum(z[k] - (wk @ z[k] - mean) / (wk @ wk) * wk, 0.0)
+    return z
 
 
 def mle_iterates(
@@ -128,21 +146,47 @@ def mle_iterates(
 ):
     """Yield (params, loglik, grad_norm) per accepted ascent iterate.
 
-    The first yield is the initial point; iteration stops once the projected
-    gradient norm falls below tol * (1 + |loglik|), the line search stalls,
-    or ``max_iter`` accepted steps have been taken.
+    The ascent runs on the mean slice S = {a >= 0, sum_i i*a_i = mean}, which
+    holds every stationary point over the orthant: there each a_j*dl/da_j is
+    0, and by the score identity sum_j j*a_j*dl/da_j = n*(mean - sum_j j*a_j).
+    Each trial point is the projection P onto S of a gradient step, and
+    ``grad_norm`` is |P(a + g) - a|, the gradient along S less the components
+    that push through an active bound.  It is zero exactly at a stationary
+    point on S, where the same identity makes the multiplier of the mean
+    constraint zero, so the point is stationary over the orthant too.
+
+    The first yield is ``init`` unchanged.  It must lie on S: a start whose
+    sum_i i*a_i differs from the sample mean by more than 1e-10 relative is
+    refused with DomainError (order 1's (mean,) and the ladder's starts lie
+    on S to rounding).  Iteration stops once ``grad_norm`` falls below
+    tol * (1 + |loglik|), the line search stalls, a step rounds to no
+    movement, or ``max_iter`` accepted steps have been taken.
     """
+    mean = hist.mean()
+    if mean == 0.0:
+        raise DataError("sample mean is zero; every observation is 0")
     a = np.array(init.a, dtype=float)
     table = _scaled_pmf(a.tolist(), hist.max_count)
     loglik = _loglik(*table, hist)
     if not math.isfinite(loglik):
         raise DomainError("initial point has zero likelihood; choose a feasible start")
+    w = np.arange(1.0, len(a) + 1.0)
+    start_mean = math.fsum((w * a).tolist())
+    if abs(start_mean - mean) > 1e-10 * mean:
+        raise DomainError(
+            f"start has mean sum_i i*a_i = {start_mean!r}, off the sample mean {mean!r};"
+            " the ascent runs on the slice where the two agree"
+        )
     step = 1.0
     prev_a: np.ndarray | None = None
     prev_grad: np.ndarray | None = None
     for taken in range(max_iter + 1):
+        # P(y + s*w) = P(y) for every s, so only the gradient's part along
+        # the hyperplane sum_i i*a_i = mean moves the ascent; dropping the
+        # rest before scaling keeps a long step from cancelling in P.
         grad = _gradient(*table, hist, len(a))
-        gnorm = float(np.linalg.norm(_projected_gradient(a, grad)))
+        grad -= (grad @ w) / (w @ w) * w
+        gnorm = float(np.linalg.norm(_onto_slice(a + grad, mean) - a))
         yield HermiteParams(tuple(a)), loglik, gnorm
         if gnorm <= tol * (1.0 + abs(loglik)) or taken == max_iter:
             return
@@ -158,9 +202,10 @@ def mle_iterates(
         alpha = min(max(step, 1e-13), 1e13)
         prev_a, prev_grad = a.copy(), grad.copy()
         # Backtracking: accept the first step with sufficient increase along
-        # the projected arc; the reference direction is the raw gradient.
+        # the projected arc; the reference direction is the gradient along
+        # the hyperplane.
         while True:
-            cand = _project(a + alpha * grad)
+            cand = _onto_slice(a + alpha * grad, mean)
             cand_table = _scaled_pmf(cand.tolist(), hist.max_count)
             cand_ll = _loglik(*cand_table, hist)
             gain_floor = _ARMIJO_SLOPE * float(grad @ (cand - a))
@@ -194,13 +239,11 @@ def _ladder(hist: CountHistogram, r_max: int, tol: float, max_iter: int):
 
     Order 1 starts at its closed-form maximum (mean,); order r+1 starts at
     the order-r fit with a zero appended, a point of the larger family with
-    the same likelihood.  Every start is therefore feasible, and since the
-    line search accepts no decrease, the logliks never fall along the ladder.
+    the same likelihood.  Every start is therefore feasible and on the mean
+    slice, and since the line search accepts no decrease, the logliks never
+    fall along the ladder.
     """
-    mean = hist.mean()
-    if mean == 0.0:
-        raise DataError("sample mean is zero; every observation is 0")
-    init = HermiteParams((mean,))
+    init = HermiteParams((hist.mean(),))
     for _ in range(r_max):
         fit = _ascend(hist, init, tol, max_iter)
         yield fit
@@ -215,6 +258,9 @@ def fit_mle(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> FitResult:
     """Constrained maximum likelihood over coefficients a_i >= 0.
+
+    The fit is a local maximum on the mean slice (see :func:`mle_iterates`);
+    on small samples with wide support the likelihood can have several.
 
     Climbs the ladder of :func:`_ladder` from order 1 and returns its order-r
     fit; ``max_iter`` bounds each rung, and ``init`` is that rung's start.

@@ -556,3 +556,17 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, "fit", str(data), "--order", "1")
         assert (code, out) == (3, "")
         assert "double range" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["fit", "--order", "2"], ["select", "--r-max", "2"], ["fit", "--method", "moments", "--order", "2"]],
+        ids=["fit", "select", "moments"],
+    )
+    def test_total_frequency_beyond_two_to_the_53(self, tmp_path, capsys, command):
+        # each frequency is a double, but their likelihood sum overflowed fsum
+        data = tmp_path / "hist.csv"
+        data.write_text("count,freq\n" + "".join(f"{c},{10**308}\n" for c in (0, 1, 3)))
+        name, *options = command
+        code, out, err = run_cli(capsys, name, str(data), *options)
+        assert (code, out) == (3, "")
+        assert "2**53" in err

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hermite_counts import (
     CountHistogram,
@@ -16,10 +18,11 @@ from hermite_counts import (
     fit_moments,
     log_likelihood,
     loglik_gradient,
+    lrt_statistic,
     sample_factorial_moments,
     sample_hermite,
 )
-from hermite_counts.estimation import DEFAULT_TOL, _ascend, mle_iterates
+from hermite_counts.estimation import DEFAULT_MAX_ITER, DEFAULT_TOL, _ascend, _ladder, _onto_slice, mle_iterates
 
 
 class TestCountHistogram:
@@ -60,6 +63,12 @@ class TestCountHistogram:
         # it passed, and the likelihood then overflowed converting it
         with pytest.raises(DataError, match="double range"):
             CountHistogram.from_mapping({1: 10**400, 3: 5})
+
+    def test_total_beyond_two_to_the_53_rejected(self):
+        # each frequency is a double, but the likelihood's fsum overflowed
+        with pytest.raises(DataError, match="2\\*\\*53"):
+            CountHistogram.from_mapping({0: 10**308, 1: 10**308, 3: 10**308})
+        assert CountHistogram.from_mapping({0: 2**52, 1: 2**52}).n == 2**53
 
     def test_representation_invariance(self):
         raw = CountHistogram.from_observations([3, 1, 1, 0, 3, 3])
@@ -291,3 +300,70 @@ class TestFitMle:
         res = fit_mle(hist, 50, max_iter=2)
         assert res.init.a[-1] == 0.0
         assert -100.0 < res.loglik < 0.0
+
+
+def _mean_of(params: HermiteParams) -> float:
+    return math.fsum(i * x for i, x in enumerate(params.a, start=1))
+
+
+@st.composite
+def histograms(draw) -> CountHistogram:
+    counts = draw(st.lists(st.integers(0, 100), min_size=1, max_size=8, unique=True))
+    freqs = draw(st.lists(st.integers(1, 60), min_size=len(counts), max_size=len(counts)))
+    if max(counts) == 0:
+        counts[0] = 1
+    return CountHistogram(tuple(zip(counts, freqs)))
+
+
+class TestMeanSlice:
+    """Every rung is fitted on S = {a >= 0, sum_i i*a_i = mean}, where the maxima lie."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(histograms())
+    def test_ladder_invariants(self, hist):
+        mean = hist.mean()
+        fits = list(_ladder(hist, 4, DEFAULT_TOL, DEFAULT_MAX_ITER))
+        for lower, upper in zip(fits, fits[1:]):
+            assert upper.loglik >= lower.loglik
+            if upper.iterations == 0:
+                assert lrt_statistic(upper.loglik, lower.loglik) == 0.0
+        for fit in fits:
+            assert abs(_mean_of(fit.params) - mean) <= 1e-10 * mean
+            a = np.array(fit.params.a)
+            np.testing.assert_allclose(_onto_slice(a, mean), a, rtol=1e-12, atol=1e-12 * mean)
+
+    def test_order_one_sits_on_its_one_point_slice(self):
+        hist = CountHistogram.from_mapping({0: 3, 1: 5, 2: 2, 7: 1})
+        fit = fit_mle(hist, 1)
+        assert fit.params.a == (hist.mean(),)
+        assert (fit.iterations, fit.grad_norm, fit.converged) == (0, 0.0, True)
+
+    def test_far_apart_pair_fits_the_mean_exactly(self):
+        # the orthant ascent stopped with the fitted mean 2.6e-4 below the
+        # sample mean, at loglik -346581.0870
+        hist = CountHistogram.from_mapping({0: 1, 10**6: 1})
+        fit = fit_mle(hist, 2)
+        assert fit.converged
+        assert fit.params.a == (0.0, 250000.0)
+        assert fit.loglik >= -346581.0870219001
+
+    def test_six_bin_order_three_fits_the_mean_exactly(self):
+        # the orthant ascent reported convergence 1.1e-6 off the sample mean
+        hist = CountHistogram.from_mapping({1: 7657, 461: 725, 893: 5127, 1504: 538, 1568: 3161, 2076: 93})
+        fit = fit_mle(hist, 3)
+        assert fit.converged
+        assert abs(_mean_of(fit.params) - hist.mean()) <= 1e-15 * hist.mean()
+        assert fit.loglik >= -2379129.239591263
+
+    def test_start_off_the_slice_refused(self):
+        hist = CountHistogram.from_mapping({0: 3, 1: 5, 2: 2})
+        with pytest.raises(DomainError, match="off the sample mean"):
+            next(mle_iterates(hist, HermiteParams((0.5, 0.5))))
+        # a start on the slice to rounding is taken as it is
+        start = HermiteParams((0.9 * hist.mean(), 0.05 * hist.mean() * (1 + 1e-12)))
+        assert next(mle_iterates(hist, start))[0] == start
+
+    def test_all_zero_data_refused_before_the_start(self):
+        with pytest.raises(DataError, match="sample mean is zero"):
+            next(mle_iterates(CountHistogram.from_mapping({0: 4}), HermiteParams((0.0,))))

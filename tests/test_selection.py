@@ -15,6 +15,7 @@ from hermite_counts import (
     sample_hermite,
     select_order,
 )
+from hermite_counts.estimation import DEFAULT_MAX_ITER, DEFAULT_TOL, _ladder
 
 
 class TestLrtStatistic:
@@ -148,28 +149,33 @@ def _ladder_histograms():
 
 @pytest.fixture(scope="module")
 def ladders():
-    """(fit_mle for orders 1..4, select_order(r_max=4, alpha=0.5)) per histogram."""
+    """(histogram, one climb of orders 1..4, select_order(r_max=4, alpha=0.5)) per histogram."""
     return [
-        ([fit_mle(hist, r) for r in range(1, 5)], select_order(hist, 4, 0.5))
+        (hist, list(_ladder(hist, 4, DEFAULT_TOL, DEFAULT_MAX_ITER)), select_order(hist, 4, 0.5))
         for hist in _ladder_histograms()
     ]
 
 
 class TestLadder:
+    def test_fit_mle_returns_the_top_rung(self, ladders):
+        hist, fits, _ = ladders[-2]  # the outlier of 1000
+        assert fits[-1].iterations > 0
+        assert fit_mle(hist, 4) == fits[-1]
+
     def test_loglik_never_falls_with_the_order(self, ladders):
         # each rung starts at the previous fit with a zero appended, and the
         # line search accepts no decrease, so this holds exactly
-        for fits, _ in ladders:
+        for _, fits, _ in ladders:
             for lower, upper in zip(fits, fits[1:]):
                 assert upper.loglik >= lower.loglik
 
     def test_selection_reads_the_same_fits(self, ladders):
-        for fits, trace in ladders:
+        for _, fits, trace in ladders:
             assert trace.fits == tuple(fits[: len(trace.fits)])
 
     def test_a_rung_that_stays_at_its_start_hits_the_atom(self, ladders):
         still = 0
-        for _, trace in ladders:
+        for _, _, trace in ladders:
             for step in trace.steps:
                 if trace.fit_for(step.alt_order).iterations == 0:
                     still += 1
