@@ -47,7 +47,8 @@ class FitResult:
     the gradient along S, less the components that push through an active
     bound.  It is zero exactly at a stationary point on S, and at order 1,
     where S is the single point (mean,).  ``converged`` means it dropped below
-    tol * (1 + |loglik|) within the iteration budget.  ``init`` is the start:
+    tol * (1 + |loglik|); otherwise the ascent hit the iteration budget or
+    stalled (see :func:`mle_iterates`).  ``init`` is the start:
     (mean,) at order 1, else the fit one order down with a zero appended.
     ``iterations`` and ``converged`` describe this order's ascent alone;
     the iteration budget applies to each order of the ladder separately.
@@ -158,9 +159,9 @@ def mle_iterates(
     The first yield is ``init`` unchanged.  It must lie on S: a start whose
     sum_i i*a_i differs from the sample mean by more than 1e-10 relative is
     refused with DomainError (order 1's (mean,) and the ladder's starts lie
-    on S to rounding).  Iteration stops once ``grad_norm`` falls below
-    tol * (1 + |loglik|), the line search stalls, a step rounds to no
-    movement, or ``max_iter`` accepted steps have been taken.
+    on S to rounding).  Iteration stops once ``grad_norm`` <= tol * (1 + |loglik|),
+    after ``max_iter`` steps, at a step that rounds to no movement, or at a
+    stall: no step alpha*g with alpha * max|g| > eps * max(a) raises the loglik.
     """
     mean = hist.mean()
     if mean == 0.0:
@@ -177,7 +178,7 @@ def mle_iterates(
             f"start has mean sum_i i*a_i = {start_mean!r}, off the sample mean {mean!r};"
             " the ascent runs on the slice where the two agree"
         )
-    step = 1.0
+    alpha = 1.0
     prev_a: np.ndarray | None = None
     prev_grad: np.ndarray | None = None
     for taken in range(max_iter + 1):
@@ -193,30 +194,30 @@ def mle_iterates(
         # Spectral (Barzilai-Borwein) trial step: plain steepest ascent
         # zigzags to a standstill on the nearly flat directions that nested
         # overfits produce; the BB step tracks the local curvature instead.
+        # A step of 0 (dx @ dx underflowing) would end the ascent at once.
         if prev_a is not None:
             dx = a - prev_a
-            dg = grad - prev_grad
-            curvature = -float(dx @ dg)
-            if curvature > 0.0:
-                step = float(dx @ dx) / curvature
-        alpha = min(max(step, 1e-13), 1e13)
-        prev_a, prev_grad = a.copy(), grad.copy()
+            curvature = -float(dx @ (grad - prev_grad))
+            if curvature > 0.0 and 0.0 < (bb := float(dx @ dx) / curvature) < math.inf:
+                alpha = bb
+        prev_a, prev_grad = a, grad
         # Backtracking: accept the first step with sufficient increase along
         # the projected arc; the reference direction is the gradient along
-        # the hyperplane.
+        # the hyperplane.  Once alpha * max|g| is within one rounding of
+        # max(a), no shorter trial can move any coordinate by more than that.
+        g_max, floor = max(map(abs, grad.tolist())), np.finfo(float).eps * max(a.tolist())
         while True:
             cand = _onto_slice(a + alpha * grad, mean)
             cand_table = _scaled_pmf(cand.tolist(), hist.max_count)
             cand_ll = _loglik(*cand_table, hist)
-            gain_floor = _ARMIJO_SLOPE * float(grad @ (cand - a))
-            if math.isfinite(cand_ll) and cand_ll >= loglik + gain_floor:
+            if cand_ll >= loglik + _ARMIJO_SLOPE * float(grad @ (cand - a)):
                 break
             alpha *= _ARMIJO_SHRINK
-            if alpha < 1e-18:
-                return  # stalled: no representable step improves the objective
+            if alpha * g_max <= floor:
+                return  # stalled: no step that moves a coordinate raises the objective
         if np.array_equal(cand, a):
             return  # step rounded to no movement
-        a, loglik, step, table = cand, cand_ll, alpha, cand_table
+        a, loglik, table = cand, cand_ll, cand_table
 
 
 def _ascend(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: int) -> FitResult:

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError, OverflowGuard
 
-#: Negative coefficients larger than this (in absolute value) are rejected
-#: when converting factorial cumulants back to exponent coefficients;
-#: smaller ones are treated as floating-point noise and clamped to zero.
+#: Relative rounding tolerance of the back-substitution from factorial
+#: cumulants to coefficients: a negative a_j within COEFF_TOL of the terms that
+#: cancel in it, (|kappa_(j)| + sum_{i>j} i!/(i-j)! a_i)/j!, is clamped to zero.
 COEFF_TOL = 1e-9
 
 
@@ -170,18 +170,17 @@ def _coeffs_from_factorial_cumulants(kappa: tuple[float, ...], *, clamp_all: boo
 
     With ``clamp_all`` every negative coefficient is clamped to zero and the
     clamped value feeds the remaining substitutions (moment-estimator
-    behaviour); otherwise negatives beyond COEFF_TOL raise.
+    behaviour); otherwise negatives beyond the COEFF_TOL noise bound raise.
     """
     r = len(kappa)
     _check_convertible(r)
     a = [0.0] * r
     for j in range(r, 0, -1):
-        resid = kappa[j - 1] - math.fsum(
-            math.perm(i, j) * a[i - 1] for i in range(j + 1, r + 1)
-        )
-        aj = resid / math.factorial(j)
+        cancel = math.fsum(math.perm(i, j) * a[i - 1] for i in range(j + 1, r + 1))
+        aj = (kappa[j - 1] - cancel) / math.factorial(j)
         if aj < 0.0:
-            if not clamp_all and aj < -COEFF_TOL:
+            noise = (COEFF_TOL * abs(kappa[j - 1]) + COEFF_TOL * cancel) / math.factorial(j)
+            if not clamp_all and aj < -noise:
                 raise DomainError(
                     f"cumulant vector is not admissible: back-substitution gives a_{j} = {aj}"
                 )
@@ -194,8 +193,8 @@ def factorial_cumulants_to_params(cumulants: FactorialCumulants) -> HermiteParam
     """Invert :func:`params_to_factorial_cumulants` by back-substitution.
 
     Raises DomainError when the cumulant vector does not correspond to any
-    non-negative coefficient vector (beyond a noise tolerance of
-    ``COEFF_TOL``, inside which coefficients are clamped to zero).
+    non-negative coefficient vector.  A negative a_j within ``COEFF_TOL`` of
+    the terms that cancel in it is rounding noise and is clamped to zero.
     """
     return HermiteParams(tuple(_coeffs_from_factorial_cumulants(cumulants.kappa, clamp_all=False)))
 

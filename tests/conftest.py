@@ -10,9 +10,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 from scipy.stats import chi2
 
 from hermite_counts import CountHistogram, HermiteParams, fit_mle
+
+# Property tests replay the same examples on every run; a test sets only
+# its max_examples.
+settings.register_profile(
+    "tier1", derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+settings.load_profile("tier1")
 
 
 def poisson_pmf_exact(lam: float, k: int) -> float:

@@ -302,6 +302,28 @@ class TestConvertCommand:
         code, _, _ = run_cli(capsys, "convert", model, "--to", "params")
         assert code == 3
 
+    def test_emitted_cumulants_convert_back(self, tmp_path, capsys):
+        # the back-substitution leaves a_1 = -3.8e-6 of rounding against
+        # cancelling terms of 5.7e10; an absolute tolerance of 1e-9 refused it
+        a = [0.0, 5904388356.663314, 3178802430.346959, 1846000724.336912]
+        code, out, _ = run_cli(capsys, "convert", write_model(tmp_path, a=a), "--to", "cumulants")
+        assert code == 0
+        emitted = tmp_path / "kappa.json"
+        emitted.write_text(out)
+        code, out, _ = run_cli(capsys, "convert", str(emitted), "--to", "params")
+        assert code == 0
+        assert json.loads(out)["a"] == pytest.approx(a, rel=1e-12)
+        code, _, _ = run_cli(capsys, "thin", str(emitted), "--p", "0.5")
+        assert code == 0
+
+    def test_tiny_inadmissible_cumulants_refused(self, tmp_path, capsys):
+        # a_1 = -9e-12 fell inside an absolute tolerance of 1e-9 and was
+        # clamped, giving a model of mean 1e-11, ten times kappa_(1)
+        model = write_model(tmp_path, name="kappa.json", kappa=[1e-12, 1e-11])
+        code, out, err = run_cli(capsys, "convert", model, "--to", "params")
+        assert (code, out) == (3, "")
+        assert "not admissible" in err
+
     def test_model_roundtrip_is_lossless(self, tmp_path, capsys):
         # emitted coefficients re-parse to identical downstream output
         model = write_model(tmp_path, order=2, a=[0.9174316825402466, 0.4513148989038335])

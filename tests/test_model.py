@@ -73,6 +73,13 @@ class TestFactorialCumulantConversion:
         with pytest.raises(DomainError):
             factorial_cumulants_to_params(FactorialCumulants((1.0, -0.5)))
 
+    def test_inverse_rejects_inadmissible_near_the_double_limit(self):
+        # kappa_(2) - 6 a_3 overflows to -inf; a tolerance formed as
+        # COEFF_TOL * (|kappa_(2)| + 6 a_3) overflows too, clamps a_2 to 0
+        # and returns a = (1.5e307, 0, 2.8e307), whose kappa_(2) is +1.7e308
+        with pytest.raises(DomainError):
+            factorial_cumulants_to_params(FactorialCumulants((1e308, -1.7e308, 1.7e308)))
+
     @pytest.mark.parametrize(
         "kappa",
         [(), (1.0, math.inf), (1.0, math.nan), (-0.5, 1.0), (10**400,)],
