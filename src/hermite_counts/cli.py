@@ -1,8 +1,9 @@
 """Batch command line: fit, select, tabulate, sample, thin, convert, verify.
 
 Reports go to stdout, diagnostics to stderr, nothing is written to disk.
-Exit codes: 0 success, 2 unreadable/malformed input, 3 domain violation,
-4 non-convergence (the fit document is still emitted).
+Exit codes: 0 success, 1 failed verification, 2 unreadable/malformed input,
+3 domain violation, 4 non-convergence (the fit document is still emitted),
+141 stdout closed by its reader (as by ``| head``).
 
 Model documents are flat JSON objects with fixed key order:
 
@@ -12,6 +13,11 @@ A document may carry factorial cumulants under "kappa" instead of "a";
 every subcommand accepts either and converts as needed.  Count data files
 are auto-detected: either raw counts (one non-negative integer per line,
 blank lines ignored) or a histogram CSV with header "count,freq".
+
+The bulk paths hold a block at a time, so their memory does not grow with
+the data: ``sample`` checks every input before it writes a byte, then
+draws, thins and writes ``sampling._BLOCK`` values at a time, and count
+files are read ``_READ_LINES`` lines at a time.
 """
 
 from __future__ import annotations
@@ -19,8 +25,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections import Counter
+from collections.abc import Iterator
+from itertools import chain, islice
 from pathlib import Path
 
 from .data import CountHistogram
@@ -36,7 +45,7 @@ from .model import (
 )
 from .pmf import adaptive_pmf, log_likelihood, pmf_table
 from .reference import run_verification
-from .sampling import derive_seed, sample_hermite, thin_sample
+from .sampling import _hermite_blocks, _thin_blocks, derive_seed
 from .selection import select_order
 from .transform import thin_params
 
@@ -44,9 +53,10 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_NONCONVERGENCE = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
-#: ``sample`` writes its values this many lines at a time.
-_WRITE_LINES = 1 << 14
+#: Count files are read this many lines at a time.
+_READ_LINES = 1 << 12
 
 
 class FileFormatError(Exception):
@@ -102,31 +112,57 @@ def _params_from_model_file(path: str) -> HermiteParams:
     return _as_params(_read_model_file(path))
 
 
+def _nonblank_lines(path: str) -> Iterator[list[str]]:
+    """The file's lines, stripped, blank ones left out, in lists made from at
+    most ``_READ_LINES`` lines of the file at a time.
+
+    Lines break exactly where str.splitlines breaks the whole text: the file
+    breaks only at newlines, so each piece is split again.
+    """
+    try:
+        with open(path) as f:
+            while chunk := list(islice(f, _READ_LINES)):
+                yield list(filter(None, map(str.strip, "".join(chunk).splitlines())))
+    except OSError as exc:
+        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        # The decoder counts bytes from its last read; decoding the whole file
+        # reports the bad byte's offset in the file.
+        _read_text(path)
+        raise
+
+
 def _read_count_data(path: str) -> CountHistogram:
-    lines = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
-    if not lines:
+    chunks = _nonblank_lines(path)
+    first = next(filter(None, chunks), None)
+    if first is None:
         raise FileFormatError(f"{path} contains no data")
-    if lines[0].replace(" ", "").lower() == "count,freq":
+    if first[0].replace(" ", "").lower() == "count,freq":
         bins: Counter[int] = Counter()
-        for ln in lines[1:]:
-            try:
-                count, freq = map(int, ln.split(","))
-            except ValueError as exc:
-                raise FileFormatError(f"{path}: malformed histogram row {ln!r}") from exc
-            if freq < 0:
-                raise DataError(f"{path}: negative frequency in histogram row {ln!r}")
-            if freq:
-                bins[count] += freq
+        for lines in chain([first[1:]], chunks):
+            for ln in lines:
+                try:
+                    count, freq = map(int, ln.split(","))
+                except ValueError as exc:
+                    raise FileFormatError(f"{path}: malformed histogram row {ln!r}") from exc
+                if freq < 0:
+                    raise DataError(f"{path}: negative frequency in histogram row {ln!r}")
+                if freq:
+                    bins[count] += freq
         if not bins:
             raise FileFormatError(f"{path}: histogram has no observations")
         return CountHistogram.from_mapping(bins)
-    values = []
-    for ln in lines:
+    counts: Counter[int] = Counter()
+    for lines in chain([first], chunks):
         try:
-            values.append(int(ln))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: expected one integer per line, got {ln!r}") from exc
-    return CountHistogram.from_observations(values)
+            counts.update(list(map(int, lines)))
+        except ValueError:
+            for ln in lines:
+                try:
+                    int(ln)
+                except ValueError as exc:
+                    raise FileFormatError(f"{path}: expected one integer per line, got {ln!r}") from exc
+    return CountHistogram.from_mapping(counts)
 
 
 def _provenance(args: argparse.Namespace, source: str) -> dict:
@@ -213,12 +249,11 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     params = _params_from_model_file(args.model)
-    batch = sample_hermite(params, args.n, args.seed)
+    blocks = _hermite_blocks(params, args.n, args.seed)
     if args.thin is not None:
-        batch = thin_sample(batch, args.thin, derive_seed(args.seed, 1))
-    values = batch.values
-    for lo in range(0, len(values), _WRITE_LINES):
-        sys.stdout.write("\n".join(map(str, values[lo : lo + _WRITE_LINES])) + "\n")
+        blocks = _thin_blocks(blocks, args.thin, derive_seed(args.seed, 1))
+    for block in blocks:
+        sys.stdout.write("\n".join(map(str, block)) + "\n")
     return EXIT_OK
 
 
@@ -319,13 +354,20 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.raw_argv = argv
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # here, so that a closed pipe is caught below
+        return code
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except HermiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except BrokenPipeError:
+        # The reader of stdout has gone.  Point stdout at devnull so that the
+        # flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 def entry() -> None:

@@ -28,7 +28,9 @@ definition it reproduces bit for bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -48,8 +50,9 @@ _POISSON_INVERSION_MAX = 30.0
 #: Largest count thinned by literal Bernoulli trials; above it, cdf inversion.
 _BERNOULLI_MAX = 64
 
-#: Thinning works on at most this many counts, and this many uniforms, at once.
-_BLOCK = 1 << 16
+#: Sampling and thinning work on at most this many draws, and this many
+#: uniforms, at once.
+_BLOCK = 1 << 12
 
 
 class SplitMix64:
@@ -194,8 +197,9 @@ def sample_binomial(trials: int, p: float, rng: SplitMix64) -> int:
     return trials - k if flip else k
 
 
-def sample_hermite(params: HermiteParams, n: int, seed: int) -> SampleBatch:
-    """``n`` independent draws of sum_i i*X_i with X_i ~ Poisson(a_i)."""
+def _hermite_blocks(params: HermiteParams, n: int, seed: int) -> Iterator[list[int]]:
+    """Check the inputs now; return ``n`` draws of sum_i i*X_i in lists of at
+    most ``_BLOCK``, drawn as the lists are taken."""
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     for i, rate in enumerate(params.a, start=1):
@@ -204,14 +208,25 @@ def sample_hermite(params: HermiteParams, n: int, seed: int) -> SampleBatch:
                 f"component rate a_{i} = {rate} exceeds {MAX_COMPONENT_RATE}"
             )
     draws = [(i, _poisson_sampler(rate)) for i, rate in enumerate(params.a, start=1) if rate > 0.0]
-    rng = SplitMix64(seed)
-    values = []
-    for _ in range(n):
-        total = 0
-        for i, draw in draws:
-            total += i * draw(rng)
-        values.append(total)
-    return SampleBatch(values=tuple(values), seed=int(seed) & _MASK64)
+
+    def blocks() -> Iterator[list[int]]:
+        rng = SplitMix64(seed)
+        for lo in range(0, n, _BLOCK):
+            values = []
+            for _ in range(min(_BLOCK, n - lo)):
+                total = 0
+                for i, draw in draws:
+                    total += i * draw(rng)
+                values.append(total)
+            yield values
+
+    return blocks()
+
+
+def sample_hermite(params: HermiteParams, n: int, seed: int) -> SampleBatch:
+    """``n`` independent draws of sum_i i*X_i with X_i ~ Poisson(a_i)."""
+    values = tuple(chain.from_iterable(_hermite_blocks(params, n, seed)))
+    return SampleBatch(values=values, seed=int(seed) & _MASK64)
 
 
 def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -252,8 +267,8 @@ def _thin_chunk(x: np.ndarray, p: float, seed: int, used: int) -> tuple[np.ndarr
     flip = p > 0.5
     q = 1.0 - p if flip else p
     large = x > _BERNOULLI_MAX
-    sizes = np.unique(x[large])
-    underflows = np.array([(1.0 - q) ** t == 0.0 for t in sizes.tolist()], dtype=bool)
+    sizes = sorted(set(x[large].tolist()))
+    underflows = np.array([(1.0 - q) ** t == 0.0 for t in sizes], dtype=bool)
     exhaustive = np.zeros_like(large)
     exhaustive[large] = underflows[np.searchsorted(sizes, x[large])]
     inverted = large & ~exhaustive
@@ -293,6 +308,25 @@ def _thin_chunk(x: np.ndarray, p: float, seed: int, used: int) -> tuple[np.ndarr
     return thinned, end
 
 
+def _thin_blocks(blocks: Iterable[Sequence[int]], p: float, seed: int) -> Iterator[Sequence[int]]:
+    """Check ``p`` now; return the blocks of counts thinned in turn, as
+    sample_binomial thins them one by one with one SplitMix64(seed)."""
+    p = _check_thinning_fraction(p)
+    if p == 1.0:
+        return iter(blocks)
+
+    def thinned() -> Iterator[list[int]]:
+        used = 0
+        for block in blocks:
+            x = np.asarray(block, dtype=np.int64)
+            if x.min() < 0:
+                raise DomainError(f"trial count must be >= 0, got {x[np.argmax(x < 0)]}")
+            values, used = _thin_chunk(x, p, seed, used)
+            yield values.tolist()
+
+    return thinned()
+
+
 def thin_sample(batch: SampleBatch, p: float, seed: int) -> SampleBatch:
     """Binomially subsample every realized count: x -> Binomial(x, p).
 
@@ -300,16 +334,7 @@ def thin_sample(batch: SampleBatch, p: float, seed: int) -> SampleBatch:
     turn with one rng = SplitMix64(seed); it is computed in numpy blocks of
     at most _BLOCK counts and _BLOCK uniforms.
     """
-    p = _check_thinning_fraction(p)
     seed = int(seed) & _MASK64
-    if p == 1.0:
-        return SampleBatch(values=batch.values, seed=seed)
-    values: list[int] = []
-    used = 0
-    for lo in range(0, len(batch.values), _BLOCK):
-        x = np.asarray(batch.values[lo : lo + _BLOCK], dtype=np.int64)
-        if x.min() < 0:
-            raise DomainError(f"trial count must be >= 0, got {x[np.argmax(x < 0)]}")
-        thinned, used = _thin_chunk(x, p, seed, used)
-        values += thinned.tolist()
-    return SampleBatch(values=tuple(values), seed=seed)
+    counts = batch.values
+    blocks = (counts[lo : lo + _BLOCK] for lo in range(0, len(counts), _BLOCK))
+    return SampleBatch(values=tuple(chain.from_iterable(_thin_blocks(blocks, p, seed))), seed=seed)

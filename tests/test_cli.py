@@ -4,14 +4,16 @@ import hashlib
 import json
 import math
 import re
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hermite_counts import PmfTable, reference
-from hermite_counts.cli import main
+from hermite_counts import HermiteParams, PmfTable, reference, sample_hermite, sampling, thin_sample
+from hermite_counts.cli import _read_count_data, main
 
 
 def write_model(tmp_path, name="model.json", **doc):
@@ -245,7 +247,7 @@ class TestSampleCommand:
     )
     def test_golden_stdout(self, tmp_path, capsys, a, n, seed, thin, digest):
         # SHA-256 of stdout as written by the scalar samplers in one piece;
-        # 40000 lines cross several write chunks
+        # 40000 lines cross several blocks
         model = write_model(tmp_path, order=len(a), a=a)
         code, out, _ = run_cli(capsys, "sample", model, "--n", n, "--seed", seed, *thin)
         assert code == 0
@@ -255,6 +257,90 @@ class TestSampleCommand:
         model = write_model(tmp_path, order=1, a=[1.0])
         code, _, _ = run_cli(capsys, "sample", model, "--n", "5", "--seed", "1", "--thin", "1.5")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "a, options",
+        [([1.0], ["--n", "200000", "--thin", "0"]), ([1.0], ["--n", "5", "--thin", "1.5"]),
+         ([1.0], ["--n", "0"]), ([1.0], ["--n", "-3", "--thin", "0.5"]), ([1.0, 2e6], ["--n", "5", "--thin", "0.5"])],
+        ids=["thin-zero", "thin-above-one", "n-zero", "n-negative", "rate-above-limit"],
+    )
+    def test_refused_before_the_first_draw(self, tmp_path, capsys, monkeypatch, a, options):
+        def no_draws(rng):
+            raise AssertionError("drew before every input was checked")
+
+        monkeypatch.setattr(sampling.SplitMix64, "next_float", no_draws)
+        model = write_model(tmp_path, order=len(a), a=a)
+        code, out, err = run_cli(capsys, "sample", model, "--seed", "1", *options)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("a", [[1.0, 0.5, 0.25], [40.0, 10.0], [30.5, 2.0]], ids=["inversion", "rejection", "mixed"])
+    @pytest.mark.parametrize("thin", [None, 0.5])
+    @pytest.mark.parametrize("n", [1, 130])
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_blocks_write_the_whole_sample(self, tmp_path, capsys, monkeypatch, a, thin, n, block):
+        # the reference is made in one block; the command then writes many
+        batch = sample_hermite(HermiteParams(a), n, 11)
+        if thin is not None:
+            batch = thin_sample(batch, thin, sampling.derive_seed(11, 1))
+        monkeypatch.setattr(sampling, "_BLOCK", block)
+        model = write_model(tmp_path, order=len(a), a=a)
+        options = [] if thin is None else ["--thin", repr(thin)]
+        code, out, _ = run_cli(capsys, "sample", model, "--n", str(n), "--seed", "11", *options)
+        assert code == 0
+        assert out == "\n".join(map(str, batch.values)) + "\n"
+
+
+class TestBoundedMemory:
+    """The bulk paths hold a block at a time, so their memory does not grow with n.
+
+    Blocks are shrunk to BLOCK so that n can span many of them while tracing
+    stays fast; the traced peak at 4n must then match the peak at n.
+    """
+
+    BLOCK = 256
+    #: Allowed growth of the traced peak from n to 4n, in bytes.  Holding the
+    #: whole sample or file costs some 400 KB more at 4n than at n.
+    SLACK = 64 * 1024
+
+    @pytest.fixture(autouse=True)
+    def small_blocks_to_devnull(self, monkeypatch):
+        import hermite_counts.cli as cli_mod
+
+        monkeypatch.setattr(sampling, "_BLOCK", self.BLOCK)
+        monkeypatch.setattr(cli_mod, "_READ_LINES", self.BLOCK)
+        with open(os.devnull, "w") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            yield
+
+    @staticmethod
+    def traced_peaks(argvs) -> list[int]:
+        peaks = []
+        for argv in argvs:
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks
+
+    @pytest.mark.parametrize("thin", [[], ["--thin", "0.5"]], ids=["plain", "thinned"])
+    def test_sample(self, tmp_path, thin):
+        model = write_model(tmp_path, order=3, a=[1.0, 0.5, 0.25])
+        n = 8 * self.BLOCK
+        # the first run only warms caches
+        argvs = [["sample", model, "--n", str(size), "--seed", "1", *thin] for size in (n, n, 4 * n)]
+        _, small, large = self.traced_peaks(argvs)
+        assert large - small < self.SLACK
+
+    def test_fit_on_a_raw_counts_file(self, tmp_path):
+        paths = tmp_path / "small.txt", tmp_path / "large.txt"
+        for path, blocks in zip(paths, (8, 32)):
+            path.write_text("10\n11\n12\n13\n" * (blocks * self.BLOCK // 4))
+        argvs = [["fit", str(path), "--order", "1"] for path in (paths[0], *paths)]
+        _, small, large = self.traced_peaks(argvs)
+        assert large - small < self.SLACK
 
 
 class TestThinCommand:
@@ -454,6 +540,24 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert proc.stdout.startswith("k,p")
 
+    @pytest.mark.parametrize(
+        "command", [["sample", "--n", "1000000", "--seed", "1"], ["pmf", "--k-max", "200000"]], ids=["sample", "pmf"]
+    )
+    def test_closed_pipe_exits_quietly(self, tmp_path, command):
+        # the reader stops after one line, as `... | head -1` does
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"order": 1, "a": [2.0]}))
+        name, *options = command
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hermite_counts", name, str(model), *options],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")
+
     def test_unknown_flag_exits_two(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "hermite_counts", "pmf", "x.json", "--bogus"],
@@ -592,3 +696,64 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, name, str(data), *options)
         assert (code, out) == (3, "")
         assert "2**53" in err
+
+
+class TestCountFileLines:
+    """How a counts file splits into lines: exactly as str.splitlines splits its text."""
+
+    @pytest.mark.parametrize(
+        "sep", ["\n", "\r", "\r\n", "\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["lf", "cr", "crlf", "form-feed", "vertical-tab", "fs", "gs", "rs", "nel", "line-sep", "para-sep"],
+    )
+    @pytest.mark.parametrize("header", [False, True], ids=["raw", "histogram"])
+    def test_every_line_break_of_splitlines(self, tmp_path, sep, header):
+        rows = ["count,freq", "1,1", "2,1", "3,1"] if header else ["1", "2", "3"]
+        data = tmp_path / "counts.txt"
+        data.write_bytes(sep.join(rows).encode() + sep.encode())
+        assert _read_count_data(str(data)).bins == ((1, 1), (2, 1), (3, 1))
+
+    def test_blank_and_whitespace_only_lines_are_skipped(self, tmp_path):
+        data = tmp_path / "counts.txt"
+        data.write_bytes(b"\n\n 4 \n\t\n\r\n2\n   \n\f\n4")
+        assert _read_count_data(str(data)).bins == ((2, 1), (4, 2))
+
+    @pytest.mark.parametrize(
+        "text", ["count, freq\n1, 2\n 3 ,4\n", "\n  \nCount , Freq\n1,2\n3,4\n"], ids=["spaces", "after-blank-lines"]
+    )
+    def test_histogram_header_with_spaces(self, tmp_path, text):
+        data = tmp_path / "hist.csv"
+        data.write_text(text)
+        assert _read_count_data(str(data)).bins == ((1, 2), (3, 4))
+
+    def test_header_after_many_blank_lines(self, tmp_path):
+        data = tmp_path / "hist.csv"
+        data.write_text("\n" * 100_000 + "count,freq\n5,3\n")
+        assert _read_count_data(str(data)).bins == ((5, 3),)
+
+    def test_only_blank_lines(self, tmp_path, capsys):
+        data = tmp_path / "blank.txt"
+        data.write_text(" \n" * 100_000)
+        code, out, err = run_cli(capsys, "fit", str(data), "--order", "1")
+        assert (code, out) == (2, "")
+        assert "contains no data" in err
+
+    @pytest.mark.parametrize("prefix", [b"", b"1\n" * 100_000], ids=["first-byte", "deep-in-the-file"])
+    def test_non_utf8_input(self, tmp_path, capsys, prefix):
+        data = tmp_path / "counts.txt"
+        data.write_bytes(prefix + b"\xff\xfe\x00\x81\n2\n")
+        code, out, err = run_cli(capsys, "fit", str(data), "--order", "1")
+        assert (code, out) == (2, "")
+        assert f"cannot read {data}: 'utf-8' codec can't decode byte 0xff in position {len(prefix)}" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1\n" * 100_000 + "two\n3\n", "expected one integer per line, got 'two'"),
+         ("count,freq\n" + "1,2\n" * 100_000 + "3;4\n", "malformed histogram row '3;4'")],
+        ids=["raw", "histogram"],
+    )
+    def test_garbled_line_deep_in_the_file(self, tmp_path, capsys, text, message):
+        data = tmp_path / "counts.txt"
+        data.write_text(text)
+        code, out, err = run_cli(capsys, "fit", str(data), "--order", "1")
+        assert (code, out) == (2, "")
+        assert message in err
