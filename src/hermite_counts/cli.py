@@ -38,10 +38,9 @@ from .estimation import FitResult, fit_mle, fit_moments
 from .model import (
     FactorialCumulants,
     HermiteParams,
+    _summary_of,
     factorial_cumulants_to_params,
-    ordinary_cumulants,
     params_to_factorial_cumulants,
-    thinning_invariants,
 )
 from .pmf import adaptive_pmf, log_likelihood, pmf_table
 from .reference import run_verification
@@ -275,8 +274,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     if args.to == "params":
         _emit(_model_doc(params, provenance))
         return EXIT_OK
-    summary = ordinary_cumulants(params)
-    eta = thinning_invariants(summary)
+    summary, eta = _summary_of(params)
     _emit(
         {
             "mean": summary.mean,

@@ -229,6 +229,32 @@ def thinning_invariants(summary: CumulantSummary) -> ThinningInvariants:
     return ThinningInvariants(eta)
 
 
+def _summary_of(params: HermiteParams) -> tuple[CumulantSummary, ThinningInvariants]:
+    """ordinary_cumulants and thinning_invariants of known coefficients.
+
+    Here eta_j = kappa_(j+1)/mean/.../mean is formed from the factorial
+    cumulants kappa_(j) = sum_i i!/(i-j)! a_i, sums of non-negative terms in
+    which nothing cancels, unlike the differences of rounded cumulants that
+    thinning_invariants must take.  So each eta_j keeps full relative
+    precision, is exactly 0 for j >= r, and is refused with OverflowGuard only
+    where it, or a cumulant of the summary, leaves the double range.
+    """
+    summary = ordinary_cumulants(params)
+    mu = summary.mean
+    if not mu > 0.0:
+        raise DomainError(f"mean must be positive to form thinning invariants, got {mu}")
+    a = params.a
+    eta = []
+    for j in range(2, 5):
+        ratio = _sum_or_inf(math.perm(i, j) * a[i - 1] for i in range(j, len(a) + 1))
+        for _ in range(j):
+            ratio /= mu
+        eta.append(ratio)
+    if not all(map(math.isfinite, (mu, summary.variance, summary.kappa3, summary.kappa4, *eta))):
+        raise OverflowGuard(f"the cumulant summary at mean {mu!r} leaves the double range")
+    return summary, ThinningInvariants(tuple(eta))
+
+
 def pgf_eval(params: HermiteParams, t: float) -> float:
     """Probability generating function exp(sum_i a_i (t**i - 1)) at ``t``.
 

@@ -19,18 +19,21 @@ next_float of one SplitMix64, used in order:
   if (1 - q)**x underflows to 0, and otherwise 1 uniform, inverted in the
   Binomial(x, q) cdf accumulated term by term.
 
-The j-th output of SplitMix64(seed) depends only on seed + j * gamma, and
-the thinning layout is fixed by the counts alone, so ``thin_sample``
-generates the same stream in numpy blocks; ``sample_binomial`` is the scalar
-definition it reproduces bit for bit.
+The j-th output of SplitMix64(seed) depends only on seed + j * gamma, so
+both samplers compute their uniforms in numpy blocks from that closed form
+(``_uniforms``).  ``sample_hermite`` reads them one by one in the order
+above; the thinning layout is fixed by the counts alone, so ``thin_sample``
+works on whole blocks of them.  ``sample_poisson`` and ``sample_binomial``,
+drawing from one SplitMix64, are the scalar definitions the two reproduce
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -100,19 +103,20 @@ class SampleBatch:
 
 
 def _poisson_sampler(rate: float):
-    """Check ``rate`` once; return draw(rng) -> int, sample_poisson's method
-    with its per-rate constants precomputed."""
+    """Check ``rate`` once; return draw(uniform) -> int, sample_poisson's
+    method with its per-rate constants precomputed, reading its uniforms from
+    calls to ``uniform()``."""
     if rate < 0.0 or not math.isfinite(rate):
         raise DomainError(f"Poisson rate must be finite and >= 0, got {rate}")
     if rate == 0.0:
-        return lambda rng: 0
+        return lambda uniform: 0
     if rate <= _POISSON_INVERSION_MAX:
         first = math.exp(-rate)
 
         # At rates up to 30 the terms underflow to 0 by k = 430, which ends
         # the search even where the rounded cdf stays below u.
-        def invert(rng: SplitMix64) -> int:
-            u = rng.next_float()
+        def invert(uniform: Callable[[], float]) -> int:
+            u = uniform()
             k = 0
             term = cum = first
             while u >= cum:
@@ -130,16 +134,16 @@ def _poisson_sampler(rate: float):
     k0 = math.log(c / beta) - rate
     log_rate = math.log(rate)
 
-    def reject(rng: SplitMix64) -> int:
+    def reject(uniform: Callable[[], float]) -> int:
         while True:
-            u = rng.next_float()
+            u = uniform()
             if u == 0.0:
                 continue
             x = (alpha - math.log((1.0 - u) / u)) / beta
             n = math.floor(x + 0.5)
             if n < 0:
                 continue
-            v = rng.next_float()
+            v = uniform()
             if v <= 0.0:
                 continue
             y = alpha - beta * x
@@ -159,7 +163,7 @@ def sample_poisson(rate: float, rng: SplitMix64) -> int:
     (c = 0.767 - 3.36/rate, beta = pi/sqrt(3 rate)), which needs no
     normal-approximation shortcut and stays exact for large rates.
     """
-    return _poisson_sampler(rate)(rng)
+    return _poisson_sampler(rate)(rng.next_float)
 
 
 def sample_binomial(trials: int, p: float, rng: SplitMix64) -> int:
@@ -210,13 +214,13 @@ def _hermite_blocks(params: HermiteParams, n: int, seed: int) -> Iterator[list[i
     draws = [(i, _poisson_sampler(rate)) for i, rate in enumerate(params.a, start=1) if rate > 0.0]
 
     def blocks() -> Iterator[list[int]]:
-        rng = SplitMix64(seed)
+        uniform = _uniform_stream(seed)
         for lo in range(0, n, _BLOCK):
             values = []
             for _ in range(min(_BLOCK, n - lo)):
                 total = 0
                 for i, draw in draws:
-                    total += i * draw(rng)
+                    total += i * draw(uniform)
                 values.append(total)
             yield values
 
@@ -242,6 +246,13 @@ def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _uniform_stream(seed: int) -> Callable[[], float]:
+    """A callable whose successive calls return SplitMix64(seed).next_float's
+    outputs in order, computed ``_BLOCK`` at a time by :func:`_uniforms`."""
+    seed = int(seed) & _MASK64  # np.uint64 refuses a negative seed
+    return chain.from_iterable(_uniforms(seed, start, _BLOCK).tolist() for start in count(0, _BLOCK)).__next__
 
 
 def _binomial_cdf(trials: int, q: float, u_max: float) -> np.ndarray:

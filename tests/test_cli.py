@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -265,10 +266,11 @@ class TestSampleCommand:
         ids=["thin-zero", "thin-above-one", "n-zero", "n-negative", "rate-above-limit"],
     )
     def test_refused_before_the_first_draw(self, tmp_path, capsys, monkeypatch, a, options):
-        def no_draws(rng):
+        # _uniforms computes every uniform that sampling and thinning read
+        def no_draws(seed, start, count):
             raise AssertionError("drew before every input was checked")
 
-        monkeypatch.setattr(sampling.SplitMix64, "next_float", no_draws)
+        monkeypatch.setattr(sampling, "_uniforms", no_draws)
         model = write_model(tmp_path, order=len(a), a=a)
         code, out, err = run_cli(capsys, "sample", model, "--seed", "1", *options)
         assert (code, out) == (3, "")
@@ -440,6 +442,18 @@ class TestConvertCommand:
         code, out, _ = run_cli(capsys, "convert", model, "--to", "summary")
         assert code == 0
         assert json.loads(out)["eta"] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("a", [[1e-200, 1e-200], [1.0, 1e-17], [1.0, 0.5, 0.25]], ids=str)
+    def test_summary_eta_is_correctly_rounded(self, tmp_path, capsys, a):
+        # from the rounded ordinary cumulants these were refused, 0 and 1.7e-16;
+        # exact: eta_j = kappa_(j+1) / mean**(j+1), kappa_(j) = sum_i i!/(i-j)! a_i
+        kappa = [sum(math.perm(i, j) * Fraction(x) for i, x in enumerate(a, start=1)) for j in range(1, 5)]
+        model = write_model(tmp_path, a=a)
+        code, out, _ = run_cli(capsys, "convert", model, "--to", "summary")
+        assert code == 0
+        for j, value in enumerate(json.loads(out)["eta"], start=1):
+            exact = kappa[j] / kappa[0] ** (j + 1)
+            assert abs(Fraction(value) - exact) <= Fraction(1e-15) * exact
 
     @pytest.mark.parametrize("a", [[0.0, 1e-310], [1e308, 4e307]], ids=str)
     def test_summary_beyond_the_double_range_refused(self, tmp_path, capsys, a):

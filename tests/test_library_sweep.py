@@ -1,6 +1,6 @@
-"""A derandomized sweep of the model layer over coefficients across the double range.
+"""A derandomized sweep of the model and sampling layers across their domains.
 
-Coefficients are 0 or lie in [1e-300, 1e300], at orders 1 to 8.  Every
+Model coefficients are 0 or lie in [1e-300, 1e300], at orders 1 to 8.  Every
 public model-layer function must answer or raise a ``HermiteError``, the
 params -> kappa -> params round trip must be admissible and give kappa back,
 and the closure identities must hold.  Errors are measured norm-wise,
@@ -8,9 +8,15 @@ max|x - y| / max(|x|, |y|): a coordinate far below the largest keeps only
 the absolute rounding of the largest, and one in the subnormal range only
 the subnormal spacing, so the scale is never taken below the smallest normal
 double.
+
+Sampled rates are 0 or lie in [1e-3, 1e4], at orders 1 to 4, and seeds are
+any integers in [-2**65, 2**65].  ``sample_hermite`` and ``thin_sample`` must
+give exactly the draws of their scalar definitions on one ``SplitMix64``
+each, and a rate above the component limit must be refused.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,15 +24,21 @@ from hermite_counts import (
     FactorialCumulants,
     HermiteError,
     HermiteParams,
+    OverflowGuard,
+    SplitMix64,
     add_params,
     factorial_cumulants_to_params,
     ordinary_cumulants,
     params_to_factorial_cumulants,
     pgf_eval,
+    sample_hermite,
+    sample_poisson,
     thin_factorial_cumulants,
     thin_params,
+    thin_sample,
     thinning_invariants,
 )
+from hermite_counts.sampling import MAX_COMPONENT_RATE, sample_binomial
 
 #: Norm-wise agreement required; 3,000 examples of each property stayed below 6e-16.
 TOL = 1e-14
@@ -38,6 +50,10 @@ fractions = st.floats(-150.0, 0.0).map(lambda e: 10.0**e)
 cumulant_vectors = st.lists(
     st.one_of(coefficients, coefficients.map(lambda x: -x)), min_size=1, max_size=8
 ).map(lambda k: FactorialCumulants((abs(k[0]), *k[1:])))
+rates = st.one_of(st.just(0.0), st.floats(-3.0, 4.0).map(lambda e: 10.0**e))
+
+#: Largest sample total thinned against the scalar oracle.
+THINNED_TOTAL = 20_000
 
 
 def normwise(x, y) -> float:
@@ -82,3 +98,25 @@ def test_closure_identities(params, other, p, q):
     assert normwise(thin_params(add_params(params, other), p).a, summed.a) <= TOL
     kappa = thin_factorial_cumulants(params_to_factorial_cumulants(params), p)
     assert normwise(params_to_factorial_cumulants(thin_params(params, p)).kappa, kappa.kappa) <= TOL
+
+
+@settings(max_examples=100)
+@given(
+    a=st.lists(rates, min_size=1, max_size=4),
+    n=st.integers(1, 40),
+    seed=st.integers(-(2**65), 2**65),
+    p=st.floats(0.0, 1.0, exclude_min=True),
+    too_large=st.floats(MAX_COMPONENT_RATE, 1e308, exclude_min=True),
+)
+def test_sampling_matches_its_scalar_definition(a, n, seed, p, too_large):
+    rng = SplitMix64(seed)
+    draws = tuple(sum(i * sample_poisson(rate, rng) for i, rate in enumerate(a, start=1)) for _ in range(n))
+    batch = sample_hermite(HermiteParams(tuple(a)), n, seed)
+    assert batch.values == draws
+    # sample_binomial runs x scalar trials where (1 - q)**x underflows, so the
+    # thinning oracle is run only where that stays cheap
+    if sum(draws) <= THINNED_TOTAL:
+        rng = SplitMix64(seed)
+        assert thin_sample(batch, p, seed).values == tuple(sample_binomial(x, p, rng) for x in draws)
+    with pytest.raises(OverflowGuard):
+        sample_hermite(HermiteParams((*a[:-1], too_large)), n, seed)

@@ -259,6 +259,17 @@ class TestGoldenStreams:
         expected = tuple(sample_binomial(x, p, rng) for x in counts)
         assert thin_sample(SampleBatch(counts, seed=0), p, 42).values == expected
 
+    @pytest.mark.parametrize("seed", [-1, 0, 2**64 - 1, 2**64 + 5])
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @pytest.mark.parametrize("a", [(1.0, 0.5, 0.25), (40.0, 10.0), (1e4,), (30.5, 2.0), (0.0, 0.7)], ids=str)
+    def test_sample_hermite_matches_scalar_oracle(self, monkeypatch, a, block, seed):
+        # blocks of 1 and 3 uniforms put a block edge between the two uniforms
+        # of many rejection attempts; seeds outside [0, 2**64) are masked
+        monkeypatch.setattr(sampling, "_BLOCK", block)
+        rng = SplitMix64(seed)
+        expected = tuple(sum(i * sample_poisson(rate, rng) for i, rate in enumerate(a, start=1)) for _ in range(300))
+        assert sample_hermite(HermiteParams(a), 300, seed).values == expected
+
     @pytest.mark.parametrize("block", [1, 3, 64])
     def test_block_boundaries_match_scalar_oracle(self, monkeypatch, block):
         # tiny blocks put a block edge inside nearly every count's trials
