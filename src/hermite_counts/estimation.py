@@ -22,11 +22,7 @@ import numpy as np
 
 from .data import CountHistogram
 from .errors import DataError, DomainError, OverflowGuard
-from .model import (
-    FactorialCumulants,
-    HermiteParams,
-    _coeffs_from_factorial_cumulants,
-)
+from .model import FactorialCumulants, HermiteParams
 from .pmf import _gradient, _loglik, _scaled_pmf
 
 #: Armijo line-search constants: sufficient-increase slope and step shrink.
@@ -104,14 +100,21 @@ def fit_moments(hist: CountHistogram, r: int) -> HermiteParams:
     """Moment estimator: sample factorial cumulants, back-substituted and clamped.
 
     Negative coefficients produced by sampling noise are clamped to zero as
-    the substitution proceeds, so the result always lies in the feasible set.
+    the substitution a_j = (kappa_(j) - sum_{i>j} i!/(i-j)! a_i) / j! runs
+    from a_r down, so the result always lies in the feasible set.
     The last step sets a_1 = mean - sum_{i>=2} i*a_i, which is the positive
     sample mean itself when every higher coefficient clamps to zero.
     """
-    kappa = factorial_moments_to_cumulants(sample_factorial_moments(hist, r))
-    if kappa.mean <= 0.0:
+    kappa = factorial_moments_to_cumulants(sample_factorial_moments(hist, r)).kappa
+    if kappa[0] <= 0.0:
         raise DataError("sample mean is zero; every observation is 0")
-    return HermiteParams(tuple(_coeffs_from_factorial_cumulants(kappa.kappa, clamp_all=True)))
+    if r > 170:  # j! has no double from j = 171 on
+        raise OverflowGuard(f"factorial cumulants of order {r} leave the double range")
+    a = [0.0] * r
+    for j in range(r, 0, -1):
+        cancel = math.fsum(math.perm(i, j) * a[i - 1] for i in range(j + 1, r + 1))
+        a[j - 1] = max((kappa[j - 1] - cancel) / math.factorial(j), 0.0)
+    return HermiteParams(tuple(a))
 
 
 def _onto_slice(y: np.ndarray, mean: float) -> np.ndarray:

@@ -23,11 +23,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError, OverflowGuard
 
-#: Relative rounding tolerance of the back-substitution from factorial
-#: cumulants to coefficients: a negative a_j within COEFF_TOL of the terms that
-#: cancel in it, (|kappa_(j)| + sum_{i>j} i!/(i-j)! a_i)/j!, is clamped to zero.
-COEFF_TOL = 1e-9
-
 
 def _sum_or_inf(terms) -> float:
     """Compensated sum of non-negative terms; inf where it leaves the double range."""
@@ -70,8 +65,8 @@ class HermiteParams:
 
     @property
     def total_rate(self) -> float:
-        """sum_i a_i, the total rate of the underlying Poisson components."""
-        return math.fsum(self.a)
+        """sum_i a_i, the total rate of the Poisson components; inf beyond the double range."""
+        return _sum_or_inf(self.a)
 
     def is_degenerate(self) -> bool:
         """True for the point mass at zero (every a_i == 0)."""
@@ -83,8 +78,9 @@ class FactorialCumulants:
     """Factorial cumulants kappa_(1)..kappa_(r).
 
     kappa_(1) is the mean and must be non-negative.  The vector corresponds
-    to an admissible coefficient vector iff the triangular back-substitution
-    of :func:`factorial_cumulants_to_params` yields all a_i >= 0.
+    to an admissible coefficient vector iff the closed-form inverse of
+    :func:`factorial_cumulants_to_params` yields all a_i >= 0, up to its
+    rounding bound.
     """
 
     kappa: tuple[float, ...]
@@ -149,54 +145,61 @@ def _check_convertible(r: int) -> None:
         raise OverflowGuard(f"factorial cumulants of order {r} leave the double range")
 
 
+def _factorial_cumulant(a: tuple[float, ...], j: int) -> float:
+    """kappa_(j) = sum_{i=j..r} i!/(i-j)! * a_i; inf where it leaves the double range."""
+    return _sum_or_inf(math.perm(i, j) * a[i - 1] for i in range(j, len(a) + 1))
+
+
 def params_to_factorial_cumulants(params: HermiteParams) -> FactorialCumulants:
     """Factorial cumulants of the distribution with exponent coefficients ``params``.
 
     Differentiating sum_i a_i (t**i - 1) j times at t = 1 gives
-    kappa_(j) = sum_{i=j..r} i!/(i-j)! * a_i.
+    kappa_(j) = sum_{i=j..r} i!/(i-j)! * a_i.  A kappa_(j) beyond the double
+    range is refused with OverflowGuard.
     """
     r = params.order
     _check_convertible(r)
-    a = params.a
-    kappa = tuple(
-        math.fsum(math.perm(i, j) * a[i - 1] for i in range(j, r + 1))
-        for j in range(1, r + 1)
-    )
+    kappa = tuple(_factorial_cumulant(params.a, j) for j in range(1, r + 1))
+    if math.inf in kappa:
+        j = kappa.index(math.inf) + 1
+        raise OverflowGuard(f"factorial cumulant kappa_({j}) leaves the double range")
     return FactorialCumulants(kappa)
 
 
-def _coeffs_from_factorial_cumulants(kappa: tuple[float, ...], *, clamp_all: bool) -> list[float]:
-    """Triangular back-substitution from kappa_(r) downward.
+def factorial_cumulants_to_params(cumulants: FactorialCumulants) -> HermiteParams:
+    """Invert :func:`params_to_factorial_cumulants` by its closed form.
 
-    With ``clamp_all`` every negative coefficient is clamped to zero and the
-    clamped value feeds the remaining substitutions (moment-estimator
-    behaviour); otherwise negatives beyond the COEFF_TOL noise bound raise.
+    a_j = sum_{i=j..r} (-1)**(i-j) kappa_(i) / (j! (i-j)!) is summed by fsum.
+    Each term carries three roundings of at most half an ulp (kappa_(i)'s
+    own, j!(i-j)! made a double, the division) and fsum adds one, so the
+    result lies within bound_j = 2 * 2**-52 * sum_i |term_i| of the a_j whose
+    cumulants round to ``cumulants``.  An a_j within bound_j of 0 is rounding
+    noise and becomes 0.  One below -bound_j is refused with DomainError: no
+    non-negative coefficients have these cumulants.  So is an a_j beyond the
+    double range.
     """
+    kappa = cumulants.kappa
     r = len(kappa)
     _check_convertible(r)
-    a = [0.0] * r
-    for j in range(r, 0, -1):
-        cancel = math.fsum(math.perm(i, j) * a[i - 1] for i in range(j + 1, r + 1))
-        aj = (kappa[j - 1] - cancel) / math.factorial(j)
-        if aj < 0.0:
-            noise = (COEFF_TOL * abs(kappa[j - 1]) + COEFF_TOL * cancel) / math.factorial(j)
-            if not clamp_all and aj < -noise:
-                raise DomainError(
-                    f"cumulant vector is not admissible: back-substitution gives a_{j} = {aj}"
-                )
-            aj = 0.0
-        a[j - 1] = aj
-    return a
-
-
-def factorial_cumulants_to_params(cumulants: FactorialCumulants) -> HermiteParams:
-    """Invert :func:`params_to_factorial_cumulants` by back-substitution.
-
-    Raises DomainError when the cumulant vector does not correspond to any
-    non-negative coefficient vector.  A negative a_j within ``COEFF_TOL`` of
-    the terms that cancel in it is rounding noise and is clamped to zero.
-    """
-    return HermiteParams(tuple(_coeffs_from_factorial_cumulants(cumulants.kappa, clamp_all=False)))
+    a = []
+    for j in range(1, r + 1):
+        terms = [
+            (-1.0) ** (i - j) * kappa[i - 1] / (math.factorial(j) * math.factorial(i - j))
+            for i in range(j, r + 1)
+        ]
+        # scaled before summing, so that the bound cannot overflow
+        bound = 2.0 * math.fsum(abs(t) * 2.0**-52 for t in terms)
+        try:
+            aj = math.fsum(terms)
+        except OverflowError:  # a partial sum left the double range; scaled, no sum of r <= 170 can
+            aj = math.fsum(t * 2.0**-8 for t in terms) * 2.0**8
+        if aj < -bound:
+            raise DomainError(
+                f"cumulant vector is not admissible: a_{j} = {aj!r} lies below 0"
+                f" by more than its rounding bound {bound!r}"
+            )
+        a.append(aj if abs(aj) > bound else 0.0)
+    return HermiteParams(tuple(a))
 
 
 def ordinary_cumulants(params: HermiteParams) -> CumulantSummary:
@@ -243,10 +246,9 @@ def _summary_of(params: HermiteParams) -> tuple[CumulantSummary, ThinningInvaria
     mu = summary.mean
     if not mu > 0.0:
         raise DomainError(f"mean must be positive to form thinning invariants, got {mu}")
-    a = params.a
     eta = []
     for j in range(2, 5):
-        ratio = _sum_or_inf(math.perm(i, j) * a[i - 1] for i in range(j, len(a) + 1))
+        ratio = _factorial_cumulant(params.a, j)
         for _ in range(j):
             ratio /= mu
         eta.append(ratio)

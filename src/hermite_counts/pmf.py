@@ -149,20 +149,22 @@ def pmf_table(params: HermiteParams, k_max: int) -> PmfTable:
 def adaptive_pmf(params: HermiteParams, eps: float) -> PmfTable:
     """Smallest table whose tail mass is below ``eps``.
 
-    Tables of ADAPTIVE_START, twice as many, ... entries are tried until one
-    holds more than 1 - eps; it is then trimmed back to the first index
-    where the accumulated mass exceeds 1 - eps.  An eps below the rounding
-    floor of the tail mass is refused with DomainError as soon as the table
-    reaches twice the mean and ends in ``order`` zeros: every entry after
-    that is at most half the largest of the ``order`` before it, so it
-    rounds to zero too and no longer table holds more mass.
+    Tables of ADAPTIVE_START, twice as many, ... entries, and last of
+    MAX_TABLE_LEN, are tried until one holds more than 1 - eps; it is then
+    trimmed back to the first index where the accumulated mass exceeds
+    1 - eps.  An eps below the rounding floor of the tail mass is refused
+    with DomainError as soon as the table reaches twice the mean and ends in
+    ``order`` zeros: every entry after that is at most half the largest of
+    the ``order`` before it, so it rounds to zero too and no longer table
+    holds more mass.
     """
     eps = float(eps)
     if not (0.0 < eps < 1.0):
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
     mean = _sum_or_inf(i * c for i, c in enumerate(params.a, start=1))
     size = ADAPTIVE_START
-    while size <= MAX_TABLE_LEN:
+    while True:
+        size = min(size, MAX_TABLE_LEN)
         table = pmf_table(params, size)
         if table.tail_mass < eps:
             # Estimated tail after each index (entries summed from the small
@@ -177,8 +179,9 @@ def adaptive_pmf(params: HermiteParams, eps: float) -> PmfTable:
                 f"eps = {eps!r} is below the rounding floor of this law's tail mass,"
                 f" which stays at {table.tail_mass!r}"
             )
+        if size == MAX_TABLE_LEN:
+            raise IterationCap(f"tail mass still >= {eps} at table length {MAX_TABLE_LEN}")
         size *= 2
-    raise IterationCap(f"tail mass still >= {eps} at table length {MAX_TABLE_LEN}")
 
 
 def _loglik(m: list[float], e: list[int], hist: CountHistogram) -> float:

@@ -391,8 +391,8 @@ class TestConvertCommand:
         assert code == 3
 
     def test_emitted_cumulants_convert_back(self, tmp_path, capsys):
-        # the back-substitution leaves a_1 = -3.8e-6 of rounding against
-        # cancelling terms of 5.7e10; an absolute tolerance of 1e-9 refused it
+        # the closed form leaves a_1 = +9.5e-7 of rounding, inside its bound
+        # of 5.4e-5, so a_1 is 0; an absolute tolerance of 1e-9 refused it
         a = [0.0, 5904388356.663314, 3178802430.346959, 1846000724.336912]
         code, out, _ = run_cli(capsys, "convert", write_model(tmp_path, a=a), "--to", "cumulants")
         assert code == 0
@@ -403,6 +403,29 @@ class TestConvertCommand:
         assert json.loads(out)["a"] == pytest.approx(a, rel=1e-12)
         code, _, _ = run_cli(capsys, "thin", str(emitted), "--p", "0.5")
         assert code == 0
+
+    def test_emitted_order_twenty_cumulants_convert_back(self, tmp_path, capsys):
+        # the back-substitution gave a_1 = -0.66 here and refused the document
+        a = [0.0, 118829.483, 9575.715, 0.106, 0.503, 72774.798, 0.001, 24606.835, 14915.055, 16.271]
+        a += [0.534, 0.321, 0.197, 10.132, 34.748, 95.824, 910966.803, 13613.107, 397.753, 795502.098]
+        code, out, _ = run_cli(capsys, "convert", write_model(tmp_path, a=a), "--to", "cumulants")
+        assert code == 0
+        emitted = tmp_path / "kappa.json"
+        emitted.write_text(out)
+        kappa = json.loads(out)["kappa"]
+        code, out, _ = run_cli(capsys, "convert", str(emitted), "--to", "params")
+        assert code == 0
+        code, out, _ = run_cli(capsys, "convert", write_model(tmp_path, **json.loads(out)), "--to", "cumulants")
+        assert code == 0
+        back = json.loads(out)["kappa"]
+        assert max(abs(x - y) for x, y in zip(back, kappa)) <= 1e-14 * max(map(abs, kappa))
+
+    def test_cumulants_beyond_the_double_range_refused(self, tmp_path, capsys):
+        # kappa_(1) = 1.5e308 + 1.6e308 overflowed inside fsum: a traceback, exit 1
+        model = write_model(tmp_path, a=[1.5e308, 0.8e308])
+        code, out, err = run_cli(capsys, "convert", model, "--to", "cumulants")
+        assert (code, out) == (3, "")
+        assert "kappa_(1)" in err
 
     def test_tiny_inadmissible_cumulants_refused(self, tmp_path, capsys):
         # a_1 = -9e-12 fell inside an absolute tolerance of 1e-9 and was

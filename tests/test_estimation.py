@@ -204,12 +204,37 @@ class TestFitMle:
         with pytest.raises(DomainError, match="zero likelihood"):
             next(mle_iterates(hist, HermiteParams((0.0, 0.5))))
 
-    def test_stops_when_the_step_rounds_to_no_movement(self):
-        # tol = 0 never converges; at the Poisson maximum the step soon moves nothing
-        hist = CountHistogram.from_mapping({0: 3, 1: 5, 2: 2})
-        logliks = [ll for _, ll, _ in mle_iterates(hist, HermiteParams((hist.mean(),)), tol=0.0, max_iter=100)]
-        assert len(logliks) - 1 < 100
+    @staticmethod
+    def _early_exit(monkeypatch, bins) -> bool:
+        """Climb from (mean, 0) with tol = 0; whether the last trial point was the last iterate.
+
+        tol = 0 never converges here, and the ascent ends far inside the
+        budget.  At a step that rounds to no movement the last trial point is
+        the iterate itself; at a stall it is a rejected point elsewhere.
+        """
+        import hermite_counts.estimation as estimation
+
+        trials = []
+        monkeypatch.setattr(estimation, "_onto_slice", lambda y, mean: trials.append(_onto_slice(y, mean)) or trials[-1])
+        hist = CountHistogram.from_mapping(bins)
+        init = HermiteParams((hist.mean(), 0.0))
+        iterates = list(mle_iterates(hist, init, tol=0.0))
+        moved_nothing = np.array_equal(trials[-1], iterates[-1][0].a)
+        logliks = [ll for _, ll, _ in iterates]
         assert all(b >= a for a, b in zip(logliks, logliks[1:]))
+        fit = _ascend(hist, init, 0.0, DEFAULT_MAX_ITER)
+        assert not fit.converged
+        assert 0 < fit.iterations == len(iterates) - 1 < DEFAULT_MAX_ITER
+        assert (fit.params, fit.loglik, fit.grad_norm) == iterates[-1]
+        return moved_nothing
+
+    def test_stops_when_the_step_rounds_to_no_movement(self, monkeypatch):
+        # 14 steps
+        assert self._early_exit(monkeypatch, {0: 10, 2: 5, 5: 1})
+
+    def test_stops_at_a_stall(self, monkeypatch):
+        # 8 steps
+        assert not self._early_exit(monkeypatch, {1: 7, 2: 7, 4: 3, 7: 1})
 
     def test_steep_start_at_order_fifty_converges(self):
         # the first acceptable step from here is ~6.8e-21, where max|g| is

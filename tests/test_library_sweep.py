@@ -1,19 +1,23 @@
 """A derandomized sweep of the model and sampling layers across their domains.
 
-Model coefficients are 0 or lie in [1e-300, 1e300], at orders 1 to 8.  Every
-public model-layer function must answer or raise a ``HermiteError``, the
-params -> kappa -> params round trip must be admissible and give kappa back,
-and the closure identities must hold.  Errors are measured norm-wise,
-max|x - y| / max(|x|, |y|): a coordinate far below the largest keeps only
-the absolute rounding of the largest, and one in the subnormal range only
-the subnormal spacing, so the scale is never taken below the smallest normal
-double.
+Model coefficients are 0 or lie in [1e-300, 1e300], at orders 1 to 8; for
+the first property they reach 1e308.  Every public model-layer function must
+answer or raise a ``HermiteError``, the params -> kappa -> params round trip
+must be admissible and give kappa back, and the closure identities must hold;
+the pgf of a table is checked at orders 1 to 4 and coefficients 0 or in
+[1e-3, 10**0.5], where a tail mass of 1e-15 stays above the rounding floor.
+Errors are measured norm-wise, max|x - y| / max(|x|, |y|): a coordinate far
+below the largest keeps only the absolute rounding of the largest, and one in
+the subnormal range only the subnormal spacing, so the scale is never taken
+below the smallest normal double.
 
 Sampled rates are 0 or lie in [1e-3, 1e4], at orders 1 to 4, and seeds are
 any integers in [-2**65, 2**65].  ``sample_hermite`` and ``thin_sample`` must
 give exactly the draws of their scalar definitions on one ``SplitMix64``
 each, and a rate above the component limit must be refused.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from hermite_counts import (
     HermiteParams,
     OverflowGuard,
     SplitMix64,
+    adaptive_pmf,
     add_params,
     factorial_cumulants_to_params,
     ordinary_cumulants,
@@ -45,6 +50,10 @@ TOL = 1e-14
 
 coefficients = st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
 models = st.lists(coefficients, min_size=1, max_size=8).map(lambda a: HermiteParams(tuple(a)))
+# up to the top of the double range, where sums of finite terms overflow
+large_models = st.lists(st.one_of(coefficients, st.floats(0.0, 1e308)), min_size=1, max_size=8).map(
+    lambda a: HermiteParams(tuple(a))
+)
 # p and q down to 1e-150 keep the product p*q a normal thinning fraction.
 fractions = st.floats(-150.0, 0.0).map(lambda e: 10.0**e)
 cumulant_vectors = st.lists(
@@ -63,9 +72,10 @@ def normwise(x, y) -> float:
 
 
 @settings(max_examples=150)
-@given(params=models, other=models, cumulants=cumulant_vectors, p=fractions, t=st.floats(-2.0, 2.0))
+@given(params=large_models, other=large_models, cumulants=cumulant_vectors, p=fractions, t=st.floats(-2.0, 2.0))
 def test_every_function_answers_or_raises_a_hermite_error(params, other, cumulants, p, t):
     calls = (
+        lambda: params.total_rate,
         lambda: params_to_factorial_cumulants(params),
         lambda: factorial_cumulants_to_params(cumulants),
         lambda: thinning_invariants(ordinary_cumulants(params)),
@@ -98,6 +108,25 @@ def test_closure_identities(params, other, p, q):
     assert normwise(thin_params(add_params(params, other), p).a, summed.a) <= TOL
     kappa = thin_factorial_cumulants(params_to_factorial_cumulants(params), p)
     assert normwise(params_to_factorial_cumulants(thin_params(params, p)).kappa, kappa.kappa) <= TOL
+
+
+@settings(max_examples=100)
+@given(
+    a=st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 0.5).map(lambda e: 10.0**e)), min_size=1, max_size=4),
+    t=st.floats(-1.0, 1.0),
+)
+def test_pgf_of_the_table_is_pgf_eval(a, t):
+    params = HermiteParams(tuple(a))
+    table = adaptive_pmf(params, 1e-15)
+    series = math.fsum(p_k * t**k for k, p_k in enumerate(table.probs.tolist()))
+    # |t| <= 1, so the terms past the table add at most its tail mass.  In
+    # units of 2**-52: p_0 = exp(-lam) carries about lam, and so does
+    # pgf_eval's exponent sum_i a_i (t**i - 1); each of the table's ~mean
+    # steps adds r products, a sum and a division; t**k, the product, fsum
+    # and exp add one each.
+    lam, mean = params.total_rate, sum(i * x for i, x in enumerate(a, start=1))
+    rounding = 2.0**-52 * (2.0 * lam + (len(a) + 2) * mean + 4.0)
+    assert abs(series - pgf_eval(params, t)) <= max(table.tail_mass, 0.0) + rounding
 
 
 @settings(max_examples=100)

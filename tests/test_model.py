@@ -1,5 +1,6 @@
 """Parameterization conversions, the pgf, and their exact identities."""
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -70,15 +71,50 @@ class TestFactorialCumulantConversion:
         assert factorial_cumulants_to_params(FactorialCumulants((1.5,))).a == (1.5,)
 
     def test_inverse_rejects_inadmissible(self):
-        with pytest.raises(DomainError):
-            factorial_cumulants_to_params(FactorialCumulants((1.0, -0.5)))
+        # a_2 = -0.25; a_1 = -9e-12, far beyond its rounding bound of 4.9e-27
+        for kappa in ((1.0, -0.5), (1e-12, 1e-11)):
+            with pytest.raises(DomainError, match="not admissible"):
+                factorial_cumulants_to_params(FactorialCumulants(kappa))
 
     def test_inverse_rejects_inadmissible_near_the_double_limit(self):
-        # kappa_(2) - 6 a_3 overflows to -inf; a tolerance formed as
-        # COEFF_TOL * (|kappa_(2)| + 6 a_3) overflows too, clamps a_2 to 0
-        # and returns a = (1.5e307, 0, 2.8e307), whose kappa_(2) is +1.7e308
-        with pytest.raises(DomainError):
+        # a_2 = -1.7e308; a tolerance that overflowed with its terms once
+        # clamped a_2 to 0 and returned a = (1.5e307, 0, 2.8e307), whose
+        # kappa_(2) is +1.7e308
+        with pytest.raises(DomainError, match="not admissible"):
             factorial_cumulants_to_params(FactorialCumulants((1e308, -1.7e308, 1.7e308)))
+
+    def test_round_trip_at_the_top_of_the_double_range(self):
+        # the terms of a_1, 1.75e308 - 2e307 + 6e307 - 2e307 + 5e306, pass
+        # the double range on the way to 1.7e308
+        params = HermiteParams((1.7e308, 0.0, 0.0, 0.0, 1e306))
+        assert factorial_cumulants_to_params(params_to_factorial_cumulants(params)) == params
+
+    def test_emitted_documents_convert_back_at_every_order(self, np_rng):
+        # what `convert --to cumulants` emits: kappa of coefficients
+        # log-uniform in [1e-12, 1e12], one of them 0, through JSON; the
+        # back-substitution refused such documents from order 16 on
+        for r in range(1, 61):
+            for _ in range(10):
+                a = 10.0 ** np_rng.uniform(-12.0, 12.0, size=r)
+                a[np_rng.integers(r)] = 0.0
+                emitted = json.loads(json.dumps(params_to_factorial_cumulants(HermiteParams(tuple(a))).kappa))
+                back = params_to_factorial_cumulants(factorial_cumulants_to_params(FactorialCumulants(emitted)))
+                scale = max(map(abs, emitted))
+                assert max(abs(x - y) for x, y in zip(back.kappa, emitted)) <= 1e-14 * scale
+
+    def test_zero_coefficient_comes_back_as_zero(self):
+        # the back-substitution returned a_1 = 1.4e-9; kappa's rounding
+        # limits a_2 to 2.3e-10 relative on either path
+        params = HermiteParams((0.0, 3.2, 281102.3, 812614.7))
+        back = factorial_cumulants_to_params(params_to_factorial_cumulants(params)).a
+        assert back[0] == 0.0
+        np.testing.assert_allclose(back[1:], params.a[1:], rtol=1e-9)
+
+    def test_cumulants_beyond_the_double_range_refused(self):
+        # each term of kappa_(1) = a_1 + 2 a_2 is finite, their sum is not
+        with pytest.raises(OverflowGuard, match=r"kappa_\(1\)"):
+            params_to_factorial_cumulants(HermiteParams((1.5e308, 0.8e308)))
+        assert HermiteParams((1.5e308, 0.8e308)).total_rate == math.inf
 
     @pytest.mark.parametrize(
         "kappa",

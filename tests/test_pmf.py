@@ -164,6 +164,13 @@ class TestAdaptivePmf:
         with pytest.raises(IterationCap):
             adaptive_pmf(HermiteParams((30.0,)), 1e-12)
 
+    def test_last_try_is_the_cap_itself(self, monkeypatch):
+        # doubling from 64 passed over 100; the 93 entries this law needs fit
+        import hermite_counts.pmf as pmf_mod
+
+        monkeypatch.setattr(pmf_mod, "MAX_TABLE_LEN", 100)
+        assert len(adaptive_pmf(HermiteParams((40.0,)), 1e-12)) == 93
+
 
 class TestLogLikelihood:
     def test_single_zero_count(self):
