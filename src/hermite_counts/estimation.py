@@ -1,5 +1,12 @@
 """Fitting: the moment estimator and box-constrained maximum likelihood.
 
+The moment estimator reads the factorial cumulants off the histogram's
+factorial moments (Kemp & Kemp's method of moments, for any order r <= 170)
+and back-substitutes them into coefficients, clamping at zero.  Every input
+on that route is an exact integer sum, so the whole chain runs on exact
+rationals and each output is rounded to a double once; an output beyond the
+double range is refused with OverflowGuard.
+
 The feasible set is the non-negative orthant in the exponent coefficients,
 and every maximum over it has the sample mean: by the score identity
 sum_j j*a_j*dl/da_j = n*(mean - sum_j j*a_j).  The optimizer is therefore
@@ -58,42 +65,56 @@ class FitResult:
     init: HermiteParams
 
 
+def _rounded(x, what: str) -> float:
+    """The double nearest the exact ``x``, refused with OverflowGuard beyond the double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise OverflowGuard(f"{what} leaves the double range") from None
+
+
+def _factorial_moments(hist: CountHistogram, r: int):
+    """The exact m_(k) = sum_bins freq * count!/(count-k)! / n, for k = 1..r in turn."""
+    if r < 1:
+        raise DomainError(f"order must be >= 1, got {r}")
+    from fractions import Fraction  # loads decimal: kept off the package's start-up
+    return (Fraction(sum(f * math.perm(c, k) for c, f in hist.bins), hist.n) for k in range(1, r + 1))
+
+
+def _factorial_cumulants(m: list) -> list:
+    """Exact kappa_(k) = m_(k) - sum_{j<k} C(k-1, j-1) kappa_(j) m_(k-j), k = 1..len(m)."""
+    kappa = []
+    for k, mk in enumerate(m, start=1):
+        kappa.append(mk - sum(math.comb(k - 1, j - 1) * kappa[j - 1] * m[k - j - 1] for j in range(1, k)))
+    return kappa
+
+
 def sample_factorial_moments(hist: CountHistogram, r: int) -> tuple[float, ...]:
     """Empirical factorial moments m_(k) = mean of x(x-1)...(x-k+1), k = 1..r.
 
-    The falling factorials are exact integers, so each moment is a single
-    exact integer sum divided by n.
+    Each moment is an exact integer sum over the bins divided by n, rounded
+    once to the nearest double; one beyond the double range is refused with
+    OverflowGuard, before any higher moment is formed.
     """
-    if r < 1:
-        raise DomainError(f"order must be >= 1, got {r}")
-    n = hist.n
-    moments = []
-    for k in range(1, r + 1):
-        total = sum(freq * math.perm(count, k) for count, freq in hist.bins if count >= k)
-        try:
-            moments.append(total / n)
-        except OverflowError:
-            raise OverflowGuard(f"factorial moment {k} leaves the double range") from None
-    return tuple(moments)
+    return tuple(_rounded(m, f"factorial moment {k}") for k, m in enumerate(_factorial_moments(hist, r), 1))
 
 
 def factorial_moments_to_cumulants(moments: tuple[float, ...]) -> FactorialCumulants:
     """Convert factorial moments to factorial cumulants.
 
-    Uses the log-exp recursion
+    Runs the log-exp recursion
     kappa_(k) = m_(k) - sum_{j=1..k-1} C(k-1, j-1) kappa_(j) m_(k-j),
-    which reproduces the closed forms kappa_(2) = m_(2) - m_(1)**2, etc.
+    which reproduces the closed forms kappa_(2) = m_(2) - m_(1)**2, etc.,
+    exactly on the rationals the given doubles stand for, and rounds each
+    kappa_(k) once to the nearest double.  A non-finite moment is refused
+    with DomainError, a cumulant beyond the double range with OverflowGuard.
+    The work grows as len(moments)**2 on ever longer rationals.
     """
-    if len(moments) < 1:
-        raise DomainError("need at least one moment")
-    kappa: list[float] = []
-    for k in range(1, len(moments) + 1):
-        correction = math.fsum(
-            math.comb(k - 1, j - 1) * kappa[j - 1] * moments[k - j - 1]
-            for j in range(1, k)
-        )
-        kappa.append(moments[k - 1] - correction)
-    return FactorialCumulants(tuple(kappa))
+    if len(moments) < 1 or not all(map(math.isfinite, moments)):
+        raise DomainError(f"need one or more finite factorial moments, got {moments!r}")
+    from fractions import Fraction
+    kappa = enumerate(_factorial_cumulants([Fraction(m) for m in moments]), start=1)
+    return FactorialCumulants(tuple(_rounded(x, f"factorial cumulant {k}") for k, x in kappa))
 
 
 def fit_moments(hist: CountHistogram, r: int) -> HermiteParams:
@@ -104,17 +125,24 @@ def fit_moments(hist: CountHistogram, r: int) -> HermiteParams:
     from a_r down, so the result always lies in the feasible set.
     The last step sets a_1 = mean - sum_{i>=2} i*a_i, which is the positive
     sample mean itself when every higher coefficient clamps to zero.
+
+    The whole chain, from the histogram's integer sums through the
+    cumulants to the clamped substitution, runs on exact rationals, and each
+    a_j is rounded once to the nearest double; one beyond the double range
+    is refused with OverflowGuard.  Orders above 170 are refused with
+    OverflowGuard before any arithmetic, since the exact work grows as r**2
+    on ever longer rationals.
     """
-    kappa = factorial_moments_to_cumulants(sample_factorial_moments(hist, r)).kappa
-    if kappa[0] <= 0.0:
+    if r > 170:
+        raise OverflowGuard(f"the moment estimator runs to order 170, got order {r}")
+    kappa = _factorial_cumulants(list(_factorial_moments(hist, r)))
+    if kappa[0] == 0:
         raise DataError("sample mean is zero; every observation is 0")
-    if r > 170:  # j! has no double from j = 171 on
-        raise OverflowGuard(f"factorial cumulants of order {r} leave the double range")
-    a = [0.0] * r
+    a = [0] * r
     for j in range(r, 0, -1):
-        cancel = math.fsum(math.perm(i, j) * a[i - 1] for i in range(j + 1, r + 1))
-        a[j - 1] = max((kappa[j - 1] - cancel) / math.factorial(j), 0.0)
-    return HermiteParams(tuple(a))
+        cancel = sum(math.perm(i, j) * a[i - 1] for i in range(j + 1, r + 1))
+        a[j - 1] = max((kappa[j - 1] - cancel) / math.factorial(j), 0)
+    return HermiteParams(tuple(_rounded(x, f"coefficient a_{j}") for j, x in enumerate(a, start=1)))
 
 
 def _onto_slice(y: np.ndarray, mean: float) -> np.ndarray:

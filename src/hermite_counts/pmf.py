@@ -168,9 +168,12 @@ def adaptive_pmf(params: HermiteParams, eps: float) -> PmfTable:
         table = pmf_table(params, size)
         if table.tail_mass < eps:
             # Estimated tail after each index (entries summed from the small
-            # end); the fsum-based tail_mass of the cut decides the last ulp.
+            # end); the fsum-based tail_mass of the cut decides the last ulp,
+            # and it can sit on either side of the estimate.
             beyond = np.append(np.cumsum(table.probs[:0:-1])[::-1], 0.0)
             k = int(np.argmax(table.tail_mass + beyond < eps))
+            while k > 0 and table.truncate(k - 1).tail_mass < eps:
+                k -= 1
             while (cut := table.truncate(k)).tail_mass >= eps:
                 k += 1
             return cut

@@ -7,6 +7,7 @@ import re
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -145,6 +146,22 @@ class TestFitCommand:
         assert json.loads(out_mle)["a"][0] == pytest.approx(
             json.loads(out_mom)["a"][0], rel=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "counts, order",
+        [(("0", "1000000"), r) for r in range(46, 52)] + [(("0", "1", "1", "2", "3"), r) for r in (188, 2000, 10**6)],
+    )
+    def test_moments_refusals_are_one_line_errors(self, tmp_path, capsys, counts, order):
+        # orders 46-51 crashed with "ValueError: -inf + inf in fsum"; the
+        # estimate now exists, but its mean is past the likelihood's 2**400.
+        # Orders above 170 are refused before any arithmetic.
+        data = tmp_path / "counts.txt"
+        data.write_text("\n".join(counts) + "\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "fit", str(data), "--order", str(order), "--method", "moments")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_histogram_csv_matches_raw(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"

@@ -15,16 +15,24 @@ Sampled rates are 0 or lie in [1e-3, 1e4], at orders 1 to 4, and seeds are
 any integers in [-2**65, 2**65].  ``sample_hermite`` and ``thin_sample`` must
 give exactly the draws of their scalar definitions on one ``SplitMix64``
 each, and a rate above the component limit must be refused.
+
+Histograms have 1 to 8 bins and frequencies up to 10**6, with counts near 0
+or anywhere up to the 10**6 maximum.  The moment functions must answer or
+raise a ``HermiteError`` at orders 1 to 60 (the examples reach 188), and the
+likelihood fits at orders 1 to 3, on counts up to 12, must answer with a
+finite log-likelihood and the sample mean.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hermite_counts import (
+    CountHistogram,
+    DataError,
     FactorialCumulants,
     HermiteError,
     HermiteParams,
@@ -33,11 +41,16 @@ from hermite_counts import (
     adaptive_pmf,
     add_params,
     factorial_cumulants_to_params,
+    factorial_moments_to_cumulants,
+    fit_mle,
+    fit_moments,
     ordinary_cumulants,
     params_to_factorial_cumulants,
     pgf_eval,
+    sample_factorial_moments,
     sample_hermite,
     sample_poisson,
+    select_order,
     thin_factorial_cumulants,
     thin_params,
     thin_sample,
@@ -60,6 +73,13 @@ cumulant_vectors = st.lists(
     st.one_of(coefficients, coefficients.map(lambda x: -x)), min_size=1, max_size=8
 ).map(lambda k: FactorialCumulants((abs(k[0]), *k[1:])))
 rates = st.one_of(st.just(0.0), st.floats(-3.0, 4.0).map(lambda e: 10.0**e))
+
+histograms = st.dictionaries(
+    st.one_of(st.integers(0, 20), st.integers(0, 10**6)), st.integers(1, 10**6), min_size=1, max_size=8
+).map(CountHistogram.from_mapping)
+small_histograms = st.dictionaries(st.integers(0, 12), st.integers(1, 10**6), min_size=1, max_size=8).map(
+    CountHistogram.from_mapping
+)
 
 #: Largest sample total thinned against the scalar oracle.
 THINNED_TOTAL = 20_000
@@ -149,3 +169,35 @@ def test_sampling_matches_its_scalar_definition(a, n, seed, p, too_large):
         assert thin_sample(batch, p, seed).values == tuple(sample_binomial(x, p, rng) for x in draws)
     with pytest.raises(OverflowGuard):
         sample_hermite(HermiteParams((*a[:-1], too_large)), n, seed)
+
+
+@settings(max_examples=100)
+@given(hist=histograms, r=st.integers(1, 60), moments=st.lists(st.floats(), max_size=8))
+@example(hist=CountHistogram.from_mapping({0: 1, 10**6: 1}), r=46, moments=[])
+@example(hist=CountHistogram.from_mapping({0: 1, 1: 2, 2: 1, 3: 1}), r=188, moments=[1.0, math.inf])
+def test_moment_estimator_answers_or_raises_a_hermite_error(hist, r, moments):
+    calls = (
+        lambda: sample_factorial_moments(hist, r),
+        lambda: factorial_moments_to_cumulants(sample_factorial_moments(hist, r)),
+        lambda: factorial_moments_to_cumulants(tuple(moments)),
+        lambda: fit_moments(hist, r),
+    )
+    for call in calls:
+        try:
+            call()
+        except HermiteError:
+            pass
+
+
+@settings(max_examples=100)
+@given(hist=small_histograms, r=st.integers(1, 3))
+def test_likelihood_fits_answer_at_the_sample_mean(hist, r):
+    if hist.max_count == 0:
+        for call in (lambda: fit_mle(hist, r), lambda: select_order(hist, r, 0.05)):
+            with pytest.raises(DataError):
+                call()
+        return
+    mean = hist.mean()
+    for fit in (fit_mle(hist, r), *select_order(hist, r, 0.05).fits):
+        assert math.isfinite(fit.loglik)
+        assert abs(math.fsum(i * x for i, x in enumerate(fit.params.a, start=1)) - mean) <= 1e-10 * mean

@@ -171,6 +171,20 @@ class TestAdaptivePmf:
         monkeypatch.setattr(pmf_mod, "MAX_TABLE_LEN", 100)
         assert len(adaptive_pmf(HermiteParams((40.0,)), 1e-12)) == 93
 
+    @pytest.mark.parametrize(
+        "a, eps, k_max",
+        [
+            ((0.055902383627816174,), 2.2425941372445393e-15, 7),
+            ((9.81245119458477, 0.4799895095473067, 0.017141350679836242), 3.804746319275413e-15, 48),
+        ],
+    )
+    def test_cut_below_the_float_estimate(self, a, eps, k_max):
+        # the cumsum estimate of the tail overshoots here, and a walk up from
+        # it returned one entry more than the smallest table
+        table = adaptive_pmf(HermiteParams(a), eps)
+        assert table.k_max == k_max
+        assert table.tail_mass < eps <= table.truncate(k_max - 1).tail_mass
+
 
 class TestLogLikelihood:
     def test_single_zero_count(self):

@@ -72,6 +72,47 @@ class TestSamplePoisson:
         assert gof_pvalue(draws, poisson_table_exact(50.0, 140)) > GOF_ALPHA
 
 
+class ScriptedUniforms:
+    """A generator stand-in whose ``next_float`` returns the given uniforms in turn."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+        self.used = 0
+
+    def next_float(self):
+        u = self.uniforms[self.used]
+        self.used += 1
+        return u
+
+
+class TestRareStreamBranches:
+    """Branches that random seeds almost never reach; each one decides how
+    many uniforms a draw takes, so a reimplementation must keep them."""
+
+    @pytest.mark.parametrize(
+        "uniforms",
+        [
+            [0.5, 0.3],  # accepted at once
+            [0.0, 0.5, 0.3],  # u = 0 is skipped
+            # u below exp(-(alpha + beta/2)) ~ 9e-6 maps to n < 0, skipped
+            [1e-6, 0.5, 0.3],
+            [0.5, 0.0, 0.5, 0.3],  # v = 0 is skipped
+        ],
+        ids=["accept", "u-zero", "n-negative", "v-zero"],
+    )
+    def test_rejection_skips(self, uniforms):
+        rng = ScriptedUniforms(uniforms)
+        assert sample_poisson(40.0, rng) == 40
+        assert rng.used == len(uniforms)
+
+    def test_inversion_stops_where_the_terms_underflow(self):
+        # at rate 0.1 the rounded cdf ends at 0.9999999999999998, below the
+        # largest uniform 1 - 2**-53, so the search ends where the term is 0
+        rng = ScriptedUniforms([1.0 - 2.0**-53])
+        assert sample_poisson(0.1, rng) == 122
+        assert rng.used == 1
+
+
 class TestSampleBinomial:
     def test_edge_probabilities(self):
         rng = SplitMix64(2)
