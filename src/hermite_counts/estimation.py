@@ -81,12 +81,13 @@ def _factorial_moments(hist: CountHistogram, r: int):
     return (Fraction(sum(f * math.perm(c, k) for c, f in hist.bins), hist.n) for k in range(1, r + 1))
 
 
-def _factorial_cumulants(m: list) -> list:
-    """Exact kappa_(k) = m_(k) - sum_{j<k} C(k-1, j-1) kappa_(j) m_(k-j), k = 1..len(m)."""
+def _factorial_cumulants(m: list):
+    """Exact kappa_(k) = m_(k) - sum_{j<k} C(k-1, j-1) kappa_(j) m_(k-j), yielded
+    for k = 1..len(m) in turn, each as soon as it is formed."""
     kappa = []
     for k, mk in enumerate(m, start=1):
         kappa.append(mk - sum(math.comb(k - 1, j - 1) * kappa[j - 1] * m[k - j - 1] for j in range(1, k)))
-    return kappa
+        yield kappa[-1]
 
 
 def sample_factorial_moments(hist: CountHistogram, r: int) -> tuple[float, ...]:
@@ -107,8 +108,9 @@ def factorial_moments_to_cumulants(moments: tuple[float, ...]) -> FactorialCumul
     which reproduces the closed forms kappa_(2) = m_(2) - m_(1)**2, etc.,
     exactly on the rationals the given doubles stand for, and rounds each
     kappa_(k) once to the nearest double.  A non-finite moment is refused
-    with DomainError, a cumulant beyond the double range with OverflowGuard.
-    The work grows as len(moments)**2 on ever longer rationals.
+    with DomainError, a cumulant beyond the double range with OverflowGuard,
+    before any higher one is formed.  The work grows as len(moments)**2 on
+    ever longer rationals.
     """
     if len(moments) < 1 or not all(map(math.isfinite, moments)):
         raise DomainError(f"need one or more finite factorial moments, got {moments!r}")
@@ -135,7 +137,7 @@ def fit_moments(hist: CountHistogram, r: int) -> HermiteParams:
     """
     if r > 170:
         raise OverflowGuard(f"the moment estimator runs to order 170, got order {r}")
-    kappa = _factorial_cumulants(list(_factorial_moments(hist, r)))
+    kappa = list(_factorial_cumulants(list(_factorial_moments(hist, r))))
     if kappa[0] == 0:
         raise DataError("sample mean is zero; every observation is 0")
     a = [0] * r

@@ -23,7 +23,15 @@ from hermite_counts import (
     sample_factorial_moments,
     sample_hermite,
 )
-from hermite_counts.estimation import DEFAULT_MAX_ITER, DEFAULT_TOL, _ascend, _ladder, _onto_slice, mle_iterates
+from hermite_counts.estimation import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    _ascend,
+    _factorial_cumulants,
+    _ladder,
+    _onto_slice,
+    mle_iterates,
+)
 
 
 def exact_moment_estimate(hist, r):
@@ -154,6 +162,19 @@ class TestFactorialMomentsToCumulants:
     def test_cumulant_beyond_the_double_range_refused(self):
         with pytest.raises(OverflowGuard, match="factorial cumulant 2"):
             factorial_moments_to_cumulants((1e200, 1.0))
+
+    def test_recursion_yields_each_cumulant_as_it_is_formed(self):
+        # kappa_(1) and kappa_(2) need only m_(1) and m_(2); the object in
+        # third place is reached only when kappa_(3) is asked for
+        kappa = _factorial_cumulants([Fraction(1), Fraction(2), object()])
+        assert (next(kappa), next(kappa)) == (1, 1)
+        with pytest.raises(TypeError):
+            next(kappa)
+
+    def test_refused_at_the_first_cumulant_beyond_the_double_range(self):
+        # the 398 moments after kappa_(2) are never reached
+        with pytest.raises(OverflowGuard, match="factorial cumulant 2"):
+            factorial_moments_to_cumulants((1e200,) + tuple(np.linspace(0.1, 10.0, 399)))
 
     def test_fourth_order_closed_form(self, np_rng):
         # recursion must reproduce the explicit degree-4 polynomial

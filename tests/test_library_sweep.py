@@ -11,8 +11,9 @@ below the largest keeps only the absolute rounding of the largest, and one in
 the subnormal range only the subnormal spacing, so the scale is never taken
 below the smallest normal double.
 
-Sampled rates are 0 or lie in [1e-3, 1e4], at orders 1 to 4, and seeds are
-any integers in [-2**65, 2**65].  ``sample_hermite`` and ``thin_sample`` must
+Sampled rates are 0 or lie in [1e-3, 1e4], at orders 1 to 4, sample sizes
+are 1 to 40 and one either side of the block size, and seeds are any
+integers in [-2**65, 2**65].  ``sample_hermite`` and ``thin_sample`` must
 give exactly the draws of their scalar definitions on one ``SplitMix64``
 each, and a rate above the component limit must be refused.
 
@@ -56,7 +57,7 @@ from hermite_counts import (
     thin_sample,
     thinning_invariants,
 )
-from hermite_counts.sampling import MAX_COMPONENT_RATE, sample_binomial
+from hermite_counts.sampling import _BLOCK, MAX_COMPONENT_RATE, sample_binomial
 
 #: Norm-wise agreement required; 3,000 examples of each property stayed below 6e-16.
 TOL = 1e-14
@@ -157,6 +158,9 @@ def test_pgf_of_the_table_is_pgf_eval(a, t):
     p=st.floats(0.0, 1.0, exclude_min=True),
     too_large=st.floats(MAX_COMPONENT_RATE, 1e308, exclude_min=True),
 )
+# one draw either side of a block edge, in both Poisson regimes
+@example(a=[1.5], n=_BLOCK + 1, seed=-3, p=0.4, too_large=2e6)
+@example(a=[0.3, 0.0, 31.0], n=_BLOCK - 1, seed=2**64 + 9, p=0.7, too_large=2e6)
 def test_sampling_matches_its_scalar_definition(a, n, seed, p, too_large):
     rng = SplitMix64(seed)
     draws = tuple(sum(i * sample_poisson(rate, rng) for i, rate in enumerate(a, start=1)) for _ in range(n))
