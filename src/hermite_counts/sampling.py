@@ -24,12 +24,10 @@ both samplers compute their uniforms in numpy blocks from that closed form
 (``_uniforms``) and draw ``_BLOCK`` values at a time.  When every component
 of ``sample_hermite`` inverts, draw d's component c reads uniform d*r + c (r
 the number of a_i > 0), and a block is one array of uniforms searched in
-each component's cdf.  Otherwise ``sample_hermite`` computes, for every
-stream position of a window, what each component started there gives (an
-inverted count, or an attempt's draw and the uniforms it uses: one or two,
-fixed by the attempt's first uniform), and walks the stream through the
-window in the order above.  The thinning layout is fixed by the counts
-alone, so ``thin_sample`` works on whole blocks of uniforms.
+each component's cdf.  A rejection attempt uses one or two uniforms, so a
+model with a component above 30 is drawn one draw at a time, reading the
+uniforms of each block in the order above.  The thinning layout is fixed by
+the counts alone, so ``thin_sample`` works on whole blocks of uniforms.
 ``sample_poisson`` and ``sample_binomial``, drawing from one SplitMix64,
 are the scalar definitions the two reproduce bit for bit.
 """
@@ -37,9 +35,9 @@ are the scalar definitions the two reproduce bit for bit.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -109,35 +107,57 @@ class SampleBatch:
         return sum(self.values) / len(self.values)
 
 
-class _Atkinson:
-    """Atkinson's logistic-envelope rejection method at one rate above 30."""
+def _poisson_sampler(rate: float):
+    """Check ``rate`` once; return draw(uniform) -> int, sample_poisson's
+    method with its per-rate constants precomputed, reading its uniforms from
+    calls to ``uniform()``."""
+    if rate < 0.0 or not math.isfinite(rate):
+        raise DomainError(f"Poisson rate must be finite and >= 0, got {rate}")
+    if rate == 0.0:
+        return lambda uniform: 0
+    if rate <= _POISSON_INVERSION_MAX:
+        first = math.exp(-rate)
 
-    __slots__ = ("alpha", "beta", "k0", "log_rate")
+        # At rates up to 30 the terms underflow to 0 by k = 430, which ends
+        # the search even where the rounded cdf stays below u.
+        def invert(uniform: Callable[[], float]) -> int:
+            u = uniform()
+            k = 0
+            term = cum = first
+            while u >= cum:
+                k += 1
+                term *= rate / k
+                cum += term
+                if term == 0.0:
+                    break
+            return k
 
-    def __init__(self, rate: float) -> None:
-        c = 0.767 - 3.36 / rate
-        self.beta = math.pi / math.sqrt(3.0 * rate)
-        self.alpha = self.beta * rate
-        self.k0 = math.log(c / self.beta) - rate
-        self.log_rate = math.log(rate)
+        return invert
+    c = 0.767 - 3.36 / rate
+    beta = math.pi / math.sqrt(3.0 * rate)
+    alpha = beta * rate
+    k0 = math.log(c / beta) - rate
+    log_rate = math.log(rate)
 
-    def attempt(self, u: float, v: float) -> tuple[int, int]:
-        """One attempt from uniforms u, v: (uniforms it uses, its draw or -1).
+    def reject(uniform: Callable[[], float]) -> int:
+        while True:
+            u = uniform()
+            if u == 0.0:
+                continue
+            x = (alpha - math.log((1.0 - u) / u)) / beta
+            n = math.floor(x + 0.5)
+            if n < 0:
+                continue
+            v = uniform()
+            if v <= 0.0:
+                continue
+            y = alpha - beta * x
+            lhs = y + math.log(v / (1.0 + math.exp(y)) ** 2)
+            rhs = k0 + n * log_rate - math.lgamma(n + 1.0)
+            if lhs <= rhs:
+                return int(n)
 
-        It uses v, and may accept, only when u is not 0 and maps to a count n >= 0.
-        """
-        if u == 0.0:
-            return 1, -1
-        x = (self.alpha - math.log((1.0 - u) / u)) / self.beta
-        n = math.floor(x + 0.5)
-        if n < 0:
-            return 1, -1
-        if v <= 0.0:
-            return 2, -1
-        y = self.alpha - self.beta * x
-        lhs = y + math.log(v / (1.0 + math.exp(y)) ** 2)
-        rhs = self.k0 + n * self.log_rate - math.lgamma(n + 1.0)
-        return 2, (n if lhs <= rhs else -1)
+    return reject
 
 
 def sample_poisson(rate: float, rng: SplitMix64) -> int:
@@ -148,32 +168,7 @@ def sample_poisson(rate: float, rng: SplitMix64) -> int:
     (c = 0.767 - 3.36/rate, beta = pi/sqrt(3 rate)), which needs no
     normal-approximation shortcut and stays exact for large rates.
     """
-    if rate < 0.0 or not math.isfinite(rate):
-        raise DomainError(f"Poisson rate must be finite and >= 0, got {rate}")
-    if rate == 0.0:
-        return 0
-    if rate <= _POISSON_INVERSION_MAX:
-        # At rates up to 30 the terms underflow to 0 by k = 430, which ends
-        # the search even where the rounded cdf stays below u.
-        u = rng.next_float()
-        k = 0
-        term = cum = math.exp(-rate)
-        while u >= cum:
-            k += 1
-            term *= rate / k
-            cum += term
-            if term == 0.0:
-                break
-        return k
-    attempt = _Atkinson(rate).attempt
-    # v is read with u; an attempt that uses u alone leaves v to the next
-    u = rng.next_float()
-    while True:
-        v = rng.next_float()
-        used, n = attempt(u, v)
-        if n >= 0:
-            return n
-        u = v if used == 1 else rng.next_float()
+    return _poisson_sampler(rate)(rng.next_float)
 
 
 def sample_binomial(trials: int, p: float, rng: SplitMix64) -> int:
@@ -226,59 +221,6 @@ def _inversion_cdf(rate: float) -> np.ndarray:
     return np.array(cdf)
 
 
-#: Half-width of the guard band around each libm-decided branch of an
-#: attempt, relative to the scale of the quantities it rounds (see
-#: :func:`_attempts`).
-_LIBM_GUARD = 2.0**-32
-
-
-def _attempts(env: _Atkinson, u: np.ndarray) -> tuple[list[int], list[int]]:
-    """env.attempt(u[p], u[p + 1]) for every p < len(u) - 1, as two lists:
-    the uniforms each attempt uses and its draw or -1.
-
-    numpy's log and exp are not math's, and numpy has no lgamma.  Every
-    other operation is one IEEE operation, the same on both sides, and
-    math.lgamma is tabulated over the range of the candidates.  Let L be
-    the log-odds log((1 - u)/u), and suppose each libm result (log, exp and
-    the pow of ``** 2``) lies within 2**8 ulps of the exact value, far more
-    than the few ulps that glibc and numpy's SIMD loops allow.  Then
-    numpy's and math's x + 0.5 differ by at most
-    2**-41 * (|L|/beta + |x| + 1), and at one n their lhs differ by at most
-    2**-38 * (alpha + |L| + |log w| + 1), w = v / (1 + exp(y))**2.  So n
-    and the test lhs <= rhs can differ only where x + 0.5 lies that close
-    to an integer, or lhs that close to rhs.  The guard band is
-    _LIBM_GUARD times the same scales, 64 times wider; the attempts inside
-    it are made again with math.
-    """
-    # arrays are dropped once used: they set the window's memory
-    first, v = u[:-1], u[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_odds = np.log((1.0 - first) / first)  # inf at u = 0
-        x = (env.alpha - log_odds) / env.beta
-        half = x + 0.5
-        n = np.floor(half)
-        recheck = np.abs(half - np.rint(half)) <= _LIBM_GUARD * (np.abs(log_odds) / env.beta + np.abs(x) + 1.0)
-    del half
-    used = np.where((first > 0.0) & (n >= 0.0), 2, 1)
-    (tested,) = np.nonzero((used == 2) & (v > 0.0))
-    log_odds, x, n = log_odds[tested], x[tested], n[tested]
-    y = env.alpha - env.beta * x
-    del x
-    log_w = np.log(v[tested] / (1.0 + np.exp(y)) ** 2)
-    lhs = y + log_w
-    del y
-    lo, hi = (int(n.min()), int(n.max())) if n.size else (0, -1)
-    lgamma = np.array([math.lgamma(k + 1.0) for k in range(lo, hi + 1)])
-    rhs = env.k0 + n * env.log_rate - lgamma[(n - lo).astype(np.intp)]
-    draw = np.full(len(first), -1)
-    draw[tested[lhs <= rhs]] = n[lhs <= rhs]
-    scale = env.alpha + np.abs(log_odds) + np.abs(log_w) + 1.0
-    recheck[tested[np.abs(lhs - rhs) <= _LIBM_GUARD * scale]] = True
-    for p in np.flatnonzero(recheck).tolist():
-        used[p], draw[p] = env.attempt(float(first[p]), float(v[p]))
-    return used.tolist(), draw.tolist()
-
-
 def _hermite_blocks(params: HermiteParams, n: int, seed: int) -> Iterator[list[int]]:
     """Check the inputs now; return ``n`` draws of sum_i i*X_i in lists of at
     most ``_BLOCK``, drawn as the lists are taken."""
@@ -289,15 +231,25 @@ def _hermite_blocks(params: HermiteParams, n: int, seed: int) -> Iterator[list[i
             raise OverflowGuard(
                 f"component rate a_{i} = {rate} exceeds {MAX_COMPONENT_RATE}"
             )
-    seed = int(seed) & _MASK64  # np.uint64 refuses a negative seed
     active = [(i, rate) for i, rate in enumerate(params.a, start=1) if rate > 0.0]
-    r = len(active)
-    laws = [
-        (i, _inversion_cdf(rate) if rate <= _POISSON_INVERSION_MAX else _Atkinson(rate)) for i, rate in active
-    ]
+    if any(rate > _POISSON_INVERSION_MAX for _, rate in active):
+        draws = [(i, _poisson_sampler(rate)) for i, rate in active]
 
-    def searched(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.minimum(np.searchsorted(cdf, u, "right"), len(cdf) - 1)
+        def by_draw() -> Iterator[list[int]]:
+            uniform = _uniform_stream(seed)
+            for lo in range(0, n, _BLOCK):
+                values = []
+                for _ in range(min(_BLOCK, n - lo)):
+                    total = 0
+                    for i, draw in draws:
+                        total += i * draw(uniform)
+                    values.append(total)
+                yield values
+
+        return by_draw()
+    seed = int(seed) & _MASK64  # np.uint64 refuses a negative seed
+    r = len(active)
+    cdfs = [(i, _inversion_cdf(rate)) for i, rate in active]
 
     def by_inversion() -> Iterator[list[int]]:
         # draw d's component c reads uniform d*r + c
@@ -305,60 +257,11 @@ def _hermite_blocks(params: HermiteParams, n: int, seed: int) -> Iterator[list[i
             m = min(_BLOCK, n - lo)
             u = _uniforms(seed, lo * r, m * r).reshape(m, r)
             total = np.zeros(m, dtype=np.int64)
-            for c, (i, cdf) in enumerate(laws):
-                total += i * searched(cdf, u[:, c])
+            for c, (i, cdf) in enumerate(cdfs):
+                total += i * np.minimum(np.searchsorted(cdf, u[:, c], "right"), len(cdf) - 1)
             yield total.tolist()
 
-    if not any(isinstance(law, _Atkinson) for _, law in laws):
-        return by_inversion()
-
-    def window(start: int, width: int) -> list[tuple[int, list[int], list[int] | None]]:
-        """Per component, the outcome of starting it at each stream position
-        start .. start + width - 1: an inverted count, or an attempt's draw
-        (-1 if it rejects) and the uniforms it uses."""
-        u = _uniforms(seed, start, width + 1)
-        tables = []
-        for i, law in laws:
-            if isinstance(law, _Atkinson):
-                used, draw = _attempts(law, u)
-                tables.append((i, draw, used))
-            else:
-                tables.append((i, searched(law, u[:-1]).tolist(), None))
-        return tables
-
-    def by_walk() -> Iterator[list[int]]:
-        # The stream is read in the scalar order; a window of precomputed
-        # outcomes covers the positions ahead.  A draw that runs off the end
-        # is drawn again from a window that starts where it does.
-        width = _BLOCK
-        pos = base = 0
-        tables = window(base, width)
-        for lo in range(0, n, _BLOCK):
-            values = []
-            for _ in range(min(_BLOCK, n - lo)):
-                while True:
-                    p, total = pos - base, 0
-                    try:
-                        for i, draw, used in tables:
-                            if used is None:
-                                total += i * draw[p]
-                                p += 1
-                            else:
-                                while (k := draw[p]) < 0:
-                                    p += used[p]
-                                total += i * k
-                                p += 2
-                        break
-                    except IndexError:
-                        if base == pos:
-                            width *= 2
-                        base = pos
-                        tables = window(base, width)
-                values.append(total)
-                pos = base + p
-            yield values
-
-    return by_walk()
+    return by_inversion()
 
 
 def sample_hermite(params: HermiteParams, n: int, seed: int) -> SampleBatch:
@@ -386,6 +289,13 @@ def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
     u = z.astype(np.float64)
     u *= 2.0**-53
     return u
+
+
+def _uniform_stream(seed: int) -> Callable[[], float]:
+    """A callable whose successive calls return SplitMix64(seed).next_float's
+    outputs in order, computed ``_BLOCK`` at a time by :func:`_uniforms`."""
+    seed = int(seed) & _MASK64  # np.uint64 refuses a negative seed
+    return chain.from_iterable(_uniforms(seed, start, _BLOCK).tolist() for start in count(0, _BLOCK)).__next__
 
 
 def _binomial_cdf(trials: int, q: float, u_max: float) -> np.ndarray:

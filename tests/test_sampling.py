@@ -1,7 +1,6 @@
 """Generator portability, reproducibility, and distributional correctness."""
 
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -112,67 +111,6 @@ class TestRareStreamBranches:
         rng = ScriptedUniforms([1.0 - 2.0**-53])
         assert sample_poisson(0.1, rng) == 122
         assert rng.used == 1
-
-
-def _ulps_away(x: float, k: int) -> float:
-    for _ in range(abs(k)):
-        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
-    return x
-
-
-#: Atkinson's constants at rate 40, where the block path rejects.
-ENVELOPE = sampling._Atkinson(40.0)
-
-
-def near_integer(count: int) -> list[list[float]]:
-    # attempts (u, 0.2), u within 2 ulps of the one that puts x + 0.5 at ``count``
-    e = ENVELOPE
-    u = 1.0 / (1.0 + math.exp(e.alpha - e.beta * (count - 0.5)))
-    return [[_ulps_away(u, k), 0.2] for k in range(-2, 3)]
-
-
-def near_acceptance(u: float) -> list[list[float]]:
-    # attempts (u, v) whose v puts lhs within a few ulps of rhs
-    e = ENVELOPE
-    x = (e.alpha - math.log((1.0 - u) / u)) / e.beta
-    n = math.floor(x + 0.5)
-    y = e.alpha - e.beta * x
-    rhs = e.k0 + n * e.log_rate - math.lgamma(n + 1.0)
-    v = math.exp(rhs - y) * (1.0 + math.exp(y)) ** 2
-    return [[u, _ulps_away(v, k)] for k in range(-2, 3)]
-
-
-class TestRejectionGuardBand:
-    """Attempts whose branch libm rounding could flip: x + 0.5 next to an
-    integer (0 decides whether v is read at all), and lhs next to rhs.  The
-    block path reads them from a scripted ``_uniforms``.  On some hosts numpy
-    alone decides one of them otherwise than math (u = 0.27961777852807235
-    at v*)."""
-
-    @pytest.mark.parametrize(
-        "attempt",
-        [
-            *(a for count in (0, 37, 40, 52) for a in near_integer(count)),
-            *(a for u in (0.5, 0.27961777852807235) for a in near_acceptance(u)),
-        ],
-    )
-    def test_block_path_matches_the_scalar_draw(self, monkeypatch, attempt):
-        # a sure acceptance follows, then the uniform 1 - 2**-53, then 0.5s
-        stream = [*attempt, 0.5, 0.3, 1.0 - 2.0**-53, 0.5]
-
-        def scripted(seed, start, count):
-            return np.array((stream + [0.5] * (start + count))[start : start + count])
-
-        monkeypatch.setattr(sampling, "_uniforms", scripted)
-        rng = ScriptedUniforms(stream)
-        first = sample_poisson(40.0, rng)
-        used = rng.used
-        second = sample_poisson(30.0, rng)
-        # the rate-30 component reads the uniform after the attempts, and its
-        # count tells that one from its neighbours
-        counts = [sample_poisson(30.0, ScriptedUniforms([w])) for w in stream]
-        assert counts[used] not in (counts[used - 1], counts[used + 1])
-        assert sample_hermite(HermiteParams((40.0, 30.0)), 1, seed=0).values == (first + 2 * second,)
 
 
 class TestSampleBinomial:
