@@ -13,7 +13,10 @@ sum_j j*a_j*dl/da_j = n*(mean - sum_j j*a_j).  The optimizer is therefore
 projected gradient ascent (spectral trial steps, Armijo backtracking) on
 the mean slice {a >= 0, sum_i i*a_i = mean}: each trial point costs one
 pmf recurrence, the accepted trial's table also yields the next gradient,
-and the projection onto the slice is a sort of r breakpoints.
+and the projection onto the slice is a sort of r breakpoints.  The ascent
+works on lists of r Python floats and takes every dot product and norm
+with math.fsum: the orders it climbs are mostly r <= 4, where each numpy
+call costs more than the arithmetic it does.
 
 Likelihood fits climb the nested orders: order 1 starts at its closed-form
 maximum, and each higher order starts at the fit one order down with a
@@ -23,9 +26,8 @@ zero appended, the same point and likelihood in the larger family.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .data import CountHistogram
 from .errors import DataError, DomainError, OverflowGuard
@@ -147,7 +149,7 @@ def fit_moments(hist: CountHistogram, r: int) -> HermiteParams:
     return HermiteParams(tuple(_rounded(x, f"coefficient a_{j}") for j, x in enumerate(a, start=1)))
 
 
-def _onto_slice(y: np.ndarray, mean: float) -> np.ndarray:
+def _onto_slice(y, mean: float) -> list[float]:
     """Euclidean projection of ``y`` onto the slice {a >= 0, sum_i i*a_i = mean}.
 
     The projection is max(y_i - tau*i, 0) for the one tau that puts it on the
@@ -155,20 +157,57 @@ def _onto_slice(y: np.ndarray, mean: float) -> np.ndarray:
     each breakpoint y_i/i; taking the breakpoints in decreasing order, the
     top j coordinates active give tau_j = (sum i*y_i - mean) / sum i**2 over
     them, and the active set is the longest prefix whose last breakpoint
-    still exceeds its tau_j.  ``mean`` must be positive.
+    still exceeds its tau_j (at least the top one, as in exact arithmetic).
+    ``mean`` must be positive.
+
+    Where y is far larger than the mean, y_i - tau*i cancels and leaves the
+    result off the slice by roundings of max|y|.  The result is then
+    projected again, as long as that brings it closer to the slice and it is
+    more than 4 roundings of the mean away; each round shrinks the distance
+    by a factor of about eps.
     """
-    w = np.arange(1.0, len(y) + 1.0)
-    order = np.argsort(-y / w, kind="stable")
-    wo, yo = w[order], y[order]
-    taus = (np.cumsum(wo * yo) - mean) / np.cumsum(wo * wo)
-    top = int(np.flatnonzero(yo / wo > taus)[-1])
-    k, wk = order[: top + 1], wo[: top + 1]
-    z = np.zeros_like(y)
-    z[k] = np.maximum(yo[: top + 1] - taus[top] * wk, 0.0)
+    w = range(1, len(y) + 1)
+    z = _slice_pass(y, mean)
+    off = abs(_dot(w, z) - mean)
+    while off > 4.0 * sys.float_info.epsilon * mean:
+        again = _slice_pass(z, mean)
+        closer = abs(_dot(w, again) - mean)
+        if closer >= off:
+            break
+        z, off = again, closer
+    return z
+
+
+def _slice_pass(y, mean: float) -> list[float]:
+    """One projection of ``y`` onto the slice, as :func:`_onto_slice` describes it."""
+    y = [float(v) for v in y]
+    keys = [v / i for i, v in enumerate(y, start=1)]
+    order = sorted(range(len(y)), key=keys.__getitem__, reverse=True)
+    top, tau, wy, ww = 0, 0.0, 0.0, 0.0
+    for j, k in enumerate(order):
+        wy += (k + 1) * y[k]
+        ww += (k + 1) * (k + 1)
+        tau_j = (wy - mean) / ww
+        if j == 0 or keys[k] > tau_j:
+            top, tau = j, tau_j
+    active = order[: top + 1]
+    z = [0.0] * len(y)
+    for k in active:
+        v = y[k] - tau * (k + 1)
+        z[k] = v if v > 0.0 else 0.0
     # A long step cancels in that subtraction; a second pass on the same
     # coordinates puts its rounding residue back on the slice.
-    z[k] = np.maximum(z[k] - (wk @ z[k] - mean) / (wk @ wk) * wk, 0.0)
+    w = [k + 1 for k in active]
+    shift = (_dot(w, [z[k] for k in active]) - mean) / _dot(w, w)
+    for k in active:
+        v = z[k] - shift * (k + 1)
+        z[k] = v if v > 0.0 else 0.0
     return z
+
+
+def _dot(x, y) -> float:
+    """sum_i x_i*y_i: the rounded products, summed with one rounding by fsum."""
+    return math.fsum([u * v for u, v in zip(x, y)])
 
 
 def mle_iterates(
@@ -199,28 +238,31 @@ def mle_iterates(
     mean = hist.mean()
     if mean == 0.0:
         raise DataError("sample mean is zero; every observation is 0")
-    a = np.array(init.a, dtype=float)
-    table = _scaled_pmf(a.tolist(), hist.max_count)
+    a = list(init.a)
+    table = _scaled_pmf(a, hist.max_count)
     loglik = _loglik(*table, hist)
     if not math.isfinite(loglik):
         raise DomainError("initial point has zero likelihood; choose a feasible start")
-    w = np.arange(1.0, len(a) + 1.0)
-    start_mean = math.fsum((w * a).tolist())
+    w = range(1, len(a) + 1)
+    start_mean = _dot(w, a)
     if abs(start_mean - mean) > 1e-10 * mean:
         raise DomainError(
             f"start has mean sum_i i*a_i = {start_mean!r}, off the sample mean {mean!r};"
             " the ascent runs on the slice where the two agree"
         )
+    ww = _dot(w, w)
     alpha = 1.0
-    prev_a: np.ndarray | None = None
-    prev_grad: np.ndarray | None = None
+    prev_a: list[float] | None = None
+    prev_grad: list[float] | None = None
     for taken in range(max_iter + 1):
         # P(y + s*w) = P(y) for every s, so only the gradient's part along
         # the hyperplane sum_i i*a_i = mean moves the ascent; dropping the
         # rest before scaling keeps a long step from cancelling in P.
         grad = _gradient(*table, hist, len(a))
-        grad -= (grad @ w) / (w @ w) * w
-        gnorm = float(np.linalg.norm(_onto_slice(a + grad, mean) - a))
+        along = _dot(grad, w) / ww
+        grad = [g - along * i for i, g in enumerate(grad, start=1)]
+        d = [p - x for p, x in zip(_onto_slice([x + g for x, g in zip(a, grad)], mean), a)]
+        gnorm = math.sqrt(_dot(d, d))
         yield HermiteParams(tuple(a)), loglik, gnorm
         if gnorm <= tol * (1.0 + abs(loglik)) or taken == max_iter:
             return
@@ -229,26 +271,26 @@ def mle_iterates(
         # overfits produce; the BB step tracks the local curvature instead.
         # A step of 0 (dx @ dx underflowing) would end the ascent at once.
         if prev_a is not None:
-            dx = a - prev_a
-            curvature = -float(dx @ (grad - prev_grad))
-            if curvature > 0.0 and 0.0 < (bb := float(dx @ dx) / curvature) < math.inf:
+            dx = [x - p for x, p in zip(a, prev_a)]
+            curvature = -_dot(dx, [g - p for g, p in zip(grad, prev_grad)])
+            if curvature > 0.0 and 0.0 < (bb := _dot(dx, dx) / curvature) < math.inf:
                 alpha = bb
         prev_a, prev_grad = a, grad
         # Backtracking: accept the first step with sufficient increase along
         # the projected arc; the reference direction is the gradient along
         # the hyperplane.  Once alpha * max|g| is within one rounding of
         # max(a), no shorter trial can move any coordinate by more than that.
-        g_max, floor = max(map(abs, grad.tolist())), np.finfo(float).eps * max(a.tolist())
+        g_max, floor = max(map(abs, grad)), sys.float_info.epsilon * max(a)
         while True:
-            cand = _onto_slice(a + alpha * grad, mean)
-            cand_table = _scaled_pmf(cand.tolist(), hist.max_count)
+            cand = _onto_slice([x + alpha * g for x, g in zip(a, grad)], mean)
+            cand_table = _scaled_pmf(cand, hist.max_count)
             cand_ll = _loglik(*cand_table, hist)
-            if cand_ll >= loglik + _ARMIJO_SLOPE * float(grad @ (cand - a)):
+            if cand_ll >= loglik + _ARMIJO_SLOPE * _dot(grad, [c - x for c, x in zip(cand, a)]):
                 break
             alpha *= _ARMIJO_SHRINK
             if alpha * g_max <= floor:
                 return  # stalled: no step that moves a coordinate raises the objective
-        if np.array_equal(cand, a):
+        if cand == a:
             return  # step rounded to no movement
         a, loglik, table = cand, cand_ll, cand_table
 

@@ -34,7 +34,7 @@ def _sum_or_inf(terms) -> float:
 
 def _doubles(values, name: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in values)
+        return tuple(map(float, values))
     except OverflowError:  # an integer beyond the double range
         raise DomainError(f"an entry of {name} is beyond the double range") from None
 
@@ -52,11 +52,12 @@ class HermiteParams:
         coeffs = _doubles(self.a, "a")
         if len(coeffs) < 1:
             raise DomainError("order must be at least 1")
-        for i, x in enumerate(coeffs, start=1):
-            if not math.isfinite(x):
-                raise DomainError(f"a_{i} must be finite, got {x}")
-            if x < 0.0:
-                raise DomainError(f"a_{i} must be non-negative, got {x}")
+        if not all(map(math.isfinite, coeffs)) or min(coeffs) < 0.0:
+            for i, x in enumerate(coeffs, start=1):
+                if not math.isfinite(x):
+                    raise DomainError(f"a_{i} must be finite, got {x}")
+                if x < 0.0:
+                    raise DomainError(f"a_{i} must be non-negative, got {x}")
         object.__setattr__(self, "a", coeffs)
 
     @property

@@ -197,16 +197,19 @@ def _loglik(m: list[float], e: list[int], hist: CountHistogram) -> float:
     return math.fsum(terms)
 
 
-def _gradient(m: list[float], e: list[int], hist: CountHistogram, r: int) -> np.ndarray:
+def _gradient(m: list[float], e: list[int], hist: CountHistogram, r: int) -> list[float]:
     # Every observed count has p_k > 0 here: the ascent only visits points of
-    # finite likelihood, and loglik_gradient checks its input.
-    grad = np.empty(r)
-    for j in range(1, r + 1):
+    # finite likelihood, and loglik_gradient checks its input.  Above the
+    # largest count every term is freq * (0.0 - 1.0), and their fsum is -n.
+    grad = []
+    for j in range(1, min(r, hist.max_count) + 1):
         terms = []
         for count, freq in hist.bins:
             ratio = math.ldexp(m[count - j] / m[count], e[count - j] - e[count]) if count >= j else 0.0
             terms.append(freq * (ratio - 1.0))
-        grad[j - 1] = math.fsum(terms)
+        grad.append(math.fsum(terms))
+    if r > hist.max_count:
+        grad += [-float(hist.n)] * (r - hist.max_count)
     return grad
 
 
@@ -230,4 +233,4 @@ def loglik_gradient(params: HermiteParams, hist: CountHistogram) -> np.ndarray:
     for count, _ in hist.bins:
         if m[count] <= 0.0:
             raise DomainError(f"observed count {count} has zero probability; gradient undefined")
-    return _gradient(m, e, hist, params.order)
+    return np.array(_gradient(m, e, hist, params.order), dtype=float)

@@ -17,6 +17,12 @@ integers in [-2**65, 2**65].  ``sample_hermite`` and ``thin_sample`` must
 give exactly the draws of their scalar definitions on one ``SplitMix64``
 each, and a rate above the component limit must be refused.
 
+The projection onto the mean slice {a >= 0, sum_i i*a_i = mean} that the
+likelihood ascent takes is checked at orders 1 to 60 on entries 0 or
++-[1e-12, 1e12] and means in [1e-12, 1e12]: its output must be a
+non-negative point of the slice, of the form max(y_i - tau*i, 0), and a
+fixed point of the projection, each to rounding.
+
 Histograms have 1 to 8 bins and frequencies up to 10**6, with counts near 0
 or anywhere up to the 10**6 maximum.  The moment functions must answer or
 raise a ``HermiteError`` at orders 1 to 60 (the examples reach 188), and the
@@ -57,6 +63,7 @@ from hermite_counts import (
     thin_sample,
     thinning_invariants,
 )
+from hermite_counts.estimation import _onto_slice
 from hermite_counts.sampling import _BLOCK, MAX_COMPONENT_RATE, sample_binomial
 
 #: Norm-wise agreement required; 3,000 examples of each property stayed below 6e-16.
@@ -205,3 +212,29 @@ def test_likelihood_fits_answer_at_the_sample_mean(hist, r):
     for fit in (fit_mle(hist, r), *select_order(hist, r, 0.05).fits):
         assert math.isfinite(fit.loglik)
         assert abs(math.fsum(i * x for i, x in enumerate(fit.params.a, start=1)) - mean) <= 1e-10 * mean
+
+
+EPS = np.finfo(float).eps
+decades = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200)
+@given(
+    y=st.lists(st.one_of(st.just(0.0), decades, decades.map(lambda x: -x)), min_size=1, max_size=60),
+    mean=decades,
+)
+# one projection pass leaves this 8e4 roundings of the mean off the slice;
+# in the second, no breakpoint exceeds its tau in rounded arithmetic
+@example(y=[2.7248734085105224, -5.8570204646587755e-08, 31416701624.47392, 6.14605940642128e-06], mean=7.799764831184536e-11)
+@example(y=[1e12, 1e12], mean=1e-12)
+def test_slice_projection_lands_on_the_slice(y, mean):
+    r = len(y)
+    z = _onto_slice(y, mean)
+    assert len(z) == r and min(z) >= 0.0
+    assert abs(math.fsum(i * x for i, x in enumerate(z, start=1)) - mean) <= 4 * EPS * mean
+    # tau read off the largest coordinate carries its rounding, times i, into the others
+    k = max(range(r), key=z.__getitem__) + 1
+    tau = (y[k - 1] - z[k - 1]) / k
+    scale = max(max(map(abs, y)), abs(tau) * r, mean)
+    assert max(abs(max(yi - tau * i, 0.0) - zi) for i, (yi, zi) in enumerate(zip(y, z), start=1)) <= 4 * r * EPS * scale
+    assert max(abs(a - b) for a, b in zip(_onto_slice(z, mean), z)) <= 4 * EPS * mean

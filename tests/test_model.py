@@ -43,6 +43,21 @@ class TestHermiteParams:
         with pytest.raises(DomainError, match="double range"):
             HermiteParams((1.0, 10**400))
 
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            ((1.0, float("nan")), "a_2 must be finite, got nan"),
+            ((-1.0, 2.0), "a_1 must be non-negative, got -1.0"),
+            ((0.5, -1.0, float("inf")), "a_2 must be non-negative, got -1.0"),
+            ((), "order must be at least 1"),
+            ((1.0, 10**400), "an entry of a is beyond the double range"),
+        ],
+    )
+    def test_refusal_names_the_first_offending_coefficient(self, a, message):
+        with pytest.raises(DomainError) as refused:
+            HermiteParams(a)
+        assert str(refused.value) == message
+
     def test_all_zero_is_legal_point_mass(self):
         params = HermiteParams((0.0, 0.0))
         assert params.is_degenerate()

@@ -271,3 +271,23 @@ class TestLoglikGradient:
                     - log_likelihood(HermiteParams(tuple(dn)), hist)
                 ) / (2 * h)
                 assert abs(fd - grad[j]) / max(1.0, abs(grad[j])) < 1e-6
+
+    @pytest.mark.parametrize("r", [4, 5, 12, 200])
+    def test_orders_above_the_largest_count_match_the_definition_bit_for_bit(self, r):
+        # d l / d a_j = fsum_k n_k (p_{k-j}/p_k - 1) with p_{k-j} = 0 for k < j,
+        # coordinate by coordinate, for j up to and beyond the largest count 3
+        from hermite_counts.pmf import _scaled_pmf
+
+        hist = CountHistogram.from_mapping({0: 1, 1: 2, 2: 1, 3: 1})
+        params = HermiteParams(tuple(0.7 / i for i in range(1, r + 1)))
+        m, e = _scaled_pmf(params.a, hist.max_count)
+        definition = [
+            math.fsum(
+                f * ((math.ldexp(m[k - j] / m[k], e[k - j] - e[k]) if k >= j else 0.0) - 1.0) for k, f in hist.bins
+            )
+            for j in range(1, r + 1)
+        ]
+        grad = loglik_gradient(params, hist)
+        assert grad.dtype == np.float64 and grad.shape == (r,)
+        assert grad.tolist() == definition
+        assert grad[3:].tolist() == [-5.0] * (r - 3)
