@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .data import CountHistogram
 from .errors import DataError, DomainError, OverflowGuard
 from .model import FactorialCumulants, HermiteParams
-from .pmf import _gradient, _loglik, _scaled_pmf
+from .pmf import _gradient, _loglik
 
 #: Armijo line-search constants: sufficient-increase slope and step shrink.
 _ARMIJO_SLOPE = 1e-4
@@ -239,8 +239,7 @@ def mle_iterates(
     if mean == 0.0:
         raise DataError("sample mean is zero; every observation is 0")
     a = list(init.a)
-    table = _scaled_pmf(a, hist.max_count)
-    loglik = _loglik(*table, hist)
+    loglik, table = _loglik(a, hist)
     if not math.isfinite(loglik):
         raise DomainError("initial point has zero likelihood; choose a feasible start")
     w = range(1, len(a) + 1)
@@ -283,8 +282,7 @@ def mle_iterates(
         g_max, floor = max(map(abs, grad)), sys.float_info.epsilon * max(a)
         while True:
             cand = _onto_slice([x + alpha * g for x, g in zip(a, grad)], mean)
-            cand_table = _scaled_pmf(cand, hist.max_count)
-            cand_ll = _loglik(*cand_table, hist)
+            cand_ll, cand_table = _loglik(cand, hist)
             if cand_ll >= loglik + _ARMIJO_SLOPE * _dot(grad, [c - x for c, x in zip(cand, a)]):
                 break
             alpha *= _ARMIJO_SHRINK

@@ -87,8 +87,8 @@ class PmfTable:
 
 
 def _check_k_max(k_max: int) -> None:
-    if not 0 <= k_max <= MAX_TABLE_LEN:
-        raise DomainError(f"k_max must lie in [0, {MAX_TABLE_LEN}], got {k_max}")
+    if not 0 <= k_max <= MAX_TABLE_LEN or k_max % 1:
+        raise DomainError(f"k_max must be a whole number in [0, {MAX_TABLE_LEN}], got {k_max}")
 
 
 def _scaled_pmf(a: tuple[float, ...] | list[float], k_max: int) -> tuple[list[float], list[int]]:
@@ -187,14 +187,17 @@ def adaptive_pmf(params: HermiteParams, eps: float) -> PmfTable:
         size *= 2
 
 
-def _loglik(m: list[float], e: list[int], hist: CountHistogram) -> float:
+def _loglik(a: tuple[float, ...] | list[float], hist: CountHistogram) -> tuple[float, tuple[list[float], list[int]]]:
+    """sum_k n_k log p_k at coefficients ``a``, and the scaled table (m, e) of
+    :func:`_scaled_pmf` it read, through the largest count of ``hist``."""
+    m, e = table = _scaled_pmf(a, hist.max_count)
     terms = []
     for count, freq in hist.bins:
         mk = m[count]
         if mk <= 0.0:
-            return float("-inf")
+            return float("-inf"), table
         terms.append(freq * (math.log(mk) + e[count] * _LN2_HI + e[count] * _LN2_LO))
-    return math.fsum(terms)
+    return math.fsum(terms), table
 
 
 def _gradient(m: list[float], e: list[int], hist: CountHistogram, r: int) -> list[float]:
@@ -220,7 +223,7 @@ def log_likelihood(params: HermiteParams, hist: CountHistogram) -> float:
     some counts), distinguished from errors so optimizers can treat the
     point as infeasible.
     """
-    return _loglik(*_scaled_pmf(_guarded(params), hist.max_count), hist)
+    return _loglik(_guarded(params), hist)[0]
 
 
 def loglik_gradient(params: HermiteParams, hist: CountHistogram) -> np.ndarray:

@@ -231,37 +231,34 @@ def _hermite_blocks(params: HermiteParams, n: int, seed: int) -> Iterator[list[i
             raise OverflowGuard(
                 f"component rate a_{i} = {rate} exceeds {MAX_COMPONENT_RATE}"
             )
+    seed = int(seed) & _MASK64  # np.uint64 refuses a negative seed
     active = [(i, rate) for i, rate in enumerate(params.a, start=1) if rate > 0.0]
     if any(rate > _POISSON_INVERSION_MAX for _, rate in active):
         draws = [(i, _poisson_sampler(rate)) for i, rate in active]
+        uniform = _uniform_stream(seed)
 
-        def by_draw() -> Iterator[list[int]]:
-            uniform = _uniform_stream(seed)
-            for lo in range(0, n, _BLOCK):
-                values = []
-                for _ in range(min(_BLOCK, n - lo)):
-                    total = 0
-                    for i, draw in draws:
-                        total += i * draw(uniform)
-                    values.append(total)
-                yield values
+        def block(lo: int, m: int) -> list[int]:
+            values = []
+            for _ in range(m):
+                total = 0
+                for i, draw in draws:
+                    total += i * draw(uniform)
+                values.append(total)
+            return values
 
-        return by_draw()
-    seed = int(seed) & _MASK64  # np.uint64 refuses a negative seed
-    r = len(active)
-    cdfs = [(i, _inversion_cdf(rate)) for i, rate in active]
+    else:
+        r = len(active)
+        cdfs = [(i, _inversion_cdf(rate)) for i, rate in active]
 
-    def by_inversion() -> Iterator[list[int]]:
-        # draw d's component c reads uniform d*r + c
-        for lo in range(0, n, _BLOCK):
-            m = min(_BLOCK, n - lo)
+        def block(lo: int, m: int) -> list[int]:
+            # draw d's component c reads uniform d*r + c
             u = _uniforms(seed, lo * r, m * r).reshape(m, r)
             total = np.zeros(m, dtype=np.int64)
             for c, (i, cdf) in enumerate(cdfs):
                 total += i * np.minimum(np.searchsorted(cdf, u[:, c], "right"), len(cdf) - 1)
-            yield total.tolist()
+            return total.tolist()
 
-    return by_inversion()
+    return (block(lo, min(_BLOCK, n - lo)) for lo in range(0, n, _BLOCK))
 
 
 def sample_hermite(params: HermiteParams, n: int, seed: int) -> SampleBatch:
@@ -293,8 +290,8 @@ def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
 
 def _uniform_stream(seed: int) -> Callable[[], float]:
     """A callable whose successive calls return SplitMix64(seed).next_float's
-    outputs in order, computed ``_BLOCK`` at a time by :func:`_uniforms`."""
-    seed = int(seed) & _MASK64  # np.uint64 refuses a negative seed
+    outputs in order, computed ``_BLOCK`` at a time by :func:`_uniforms`;
+    ``seed`` must lie in [0, 2**64)."""
     return chain.from_iterable(_uniforms(seed, start, _BLOCK).tolist() for start in count(0, _BLOCK)).__next__
 
 
@@ -362,6 +359,17 @@ def _thin_chunk(x: np.ndarray, p: float, seed: int, used: int) -> tuple[np.ndarr
     return thinned, end
 
 
+def _trial_counts(block: Sequence[int]) -> np.ndarray:
+    """``block`` as int64 counts; the first count that is negative, has a
+    fractional part or reaches 2**63 is refused with DomainError."""
+    x = np.asarray(block)
+    if x.dtype.kind not in "bi" or (x < 0).any():
+        for v in block:
+            if v < 0 or v % 1 or v >= 2**63:
+                raise DomainError(f"trial count must be a whole number in [0, 2**63), got {v}")
+    return x.astype(np.int64, copy=False)
+
+
 def _thin_blocks(blocks: Iterable[Sequence[int]], p: float, seed: int) -> Iterator[Sequence[int]]:
     """Check ``p`` now; return the blocks of counts thinned in turn, as
     sample_binomial thins them one by one with one SplitMix64(seed)."""
@@ -372,10 +380,7 @@ def _thin_blocks(blocks: Iterable[Sequence[int]], p: float, seed: int) -> Iterat
     def thinned() -> Iterator[list[int]]:
         used = 0
         for block in blocks:
-            x = np.asarray(block, dtype=np.int64)
-            if x.min() < 0:
-                raise DomainError(f"trial count must be >= 0, got {x[np.argmax(x < 0)]}")
-            values, used = _thin_chunk(x, p, seed, used)
+            values, used = _thin_chunk(_trial_counts(block), p, seed, used)
             yield values.tolist()
 
     return thinned()

@@ -503,6 +503,12 @@ class TestConvertCommand:
         assert (code, out) == (3, "")
         assert "double range" in err
 
+    def test_summary_of_the_all_zero_model_refused(self, tmp_path, capsys):
+        # the point mass at 0 has no thinning invariants: each divides by the mean
+        code, out, err = run_cli(capsys, "convert", write_model(tmp_path, a=[0.0, 0.0]), "--to", "summary")
+        assert (code, out) == (3, "")
+        assert "mean must be positive to form thinning invariants, got 0.0" in err
+
 
 class TestVerifyCommand:
     def test_all_pass(self, capsys):

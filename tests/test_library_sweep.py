@@ -23,6 +23,14 @@ likelihood ascent takes is checked at orders 1 to 60 on entries 0 or
 non-negative point of the slice, of the form max(y_i - tau*i, 0), and a
 fixed point of the projection, each to rounding.
 
+The pmf engine's log p_k = log m_k + e_k*ln 2 is checked against mpmath at
+30 digits, to 1e-13 relative to max(1, |log p_k|) (a probability near 1 is
+held to its absolute rounding): at order 1 against k*ln(rate) - rate -
+lnGamma(k+1), for rates in [1e-3, 1e6], on 25 counts of a table that reaches
+k = 1.5*rate up to rate 2e4 and k = 200 above it; at orders 2 to 4 against
+the recurrence run in mpmath, on coefficients 0 or in [1e-3, 1e2] and every
+entry of tables up to 500 long, where a zero entry must be exactly zero.
+
 Histograms have 1 to 8 bins and frequencies up to 10**6, with counts near 0
 or anywhere up to the 10**6 maximum.  The moment functions must answer or
 raise a ``HermiteError`` at orders 1 to 60 (the examples reach 188), and the
@@ -32,6 +40,7 @@ finite log-likelihood and the sample mean.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -64,6 +73,7 @@ from hermite_counts import (
     thinning_invariants,
 )
 from hermite_counts.estimation import _onto_slice
+from hermite_counts.pmf import _scaled_pmf
 from hermite_counts.sampling import _BLOCK, MAX_COMPONENT_RATE, sample_binomial
 
 #: Norm-wise agreement required; 3,000 examples of each property stayed below 6e-16.
@@ -238,3 +248,48 @@ def test_slice_projection_lands_on_the_slice(y, mean):
     scale = max(max(map(abs, y)), abs(tau) * r, mean)
     assert max(abs(max(yi - tau * i, 0.0) - zi) for i, (yi, zi) in enumerate(zip(y, z), start=1)) <= 4 * r * EPS * scale
     assert max(abs(a - b) for a, b in zip(_onto_slice(z, mean), z)) <= 4 * EPS * mean
+
+
+#: Agreement of log p_k with mpmath, relative to max(1, |log p_k|).
+LOG_PMF_TOL = 1e-13
+
+
+def log_pmf_error(m, e, k, exact) -> float:
+    """|log p_k - exact| / max(1, |exact|) for the engine's p_k = m[k] * 2**e[k], in mpmath."""
+    ours = mpmath.log(m[k]) + e[k] * mpmath.log(2)
+    return float(abs(ours - exact) / max(1, abs(exact)))
+
+
+@settings(max_examples=40)
+@given(rate=st.floats(-3.0, 6.0).map(lambda e: 10.0**e))
+@example(rate=1e6)
+@example(rate=2e4)
+def test_poisson_log_pmf_matches_mpmath(rate):
+    k_max = 200 if rate > 2e4 else max(200, math.ceil(1.5 * rate))
+    m, e = _scaled_pmf((rate,), k_max)
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(rate)
+        for k in sorted({*range(0, k_max, k_max // 24), k_max}):
+            exact = k * mpmath.log(lam) - lam - mpmath.loggamma(k + 1)
+            assert log_pmf_error(m, e, k, exact) <= LOG_PMF_TOL
+
+
+@settings(max_examples=30)
+@given(
+    a=st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 2.0).map(lambda e: 10.0**e)), min_size=2, max_size=4),
+    k_max=st.integers(0, 499),
+)
+# a_1 = a_3 = 0: every odd entry is zero
+@example(a=[0.0, 3.0, 0.0, 0.5], k_max=499)
+def test_hermite_log_pmf_matches_the_mpmath_recurrence(a, k_max):
+    m, e = _scaled_pmf(tuple(a), k_max)
+    with mpmath.workdps(30):
+        coeffs = [i * mpmath.mpf(x) for i, x in enumerate(a, start=1)]
+        p = [mpmath.exp(-mpmath.fsum(mpmath.mpf(x) for x in a))]
+        for k in range(1, k_max + 1):
+            p.append(sum(c * pk for c, pk in zip(coeffs, reversed(p[-len(a) :]))) / k)
+        for k, pk in enumerate(p):
+            if pk == 0:
+                assert m[k] == 0.0
+            else:
+                assert log_pmf_error(m, e, k, mpmath.log(pk)) <= LOG_PMF_TOL

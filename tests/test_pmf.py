@@ -74,6 +74,14 @@ class TestPmfTable:
         with pytest.raises(DomainError, match="k_max"):
             pmf_table(HermiteParams((1.0,)), 101)
 
+    def test_fractional_k_max_rejected(self):
+        table = pmf_table(HermiteParams((1.0,)), 10)
+        for call in (lambda k: pmf_table(HermiteParams((1.0,)), k), table.truncate):
+            with pytest.raises(DomainError, match="whole number"):
+                call(3.5)
+        assert pmf_table(HermiteParams((1.0,)), 3.0).probs.tolist() == table.probs[:4].tolist()
+        assert table.truncate(np.int64(3)).probs.tolist() == table.probs[:4].tolist()
+
     @pytest.mark.parametrize(
         "probs",
         [[], [[0.5, 0.5]], [0.5, math.nan], [0.5, math.inf], [1.2, -0.2], [0.7, 0.4]],

@@ -167,6 +167,21 @@ def test_k_max_above_the_table_bound_rejected(monkeypatch, build):
         build(101)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda k_max: doubled_poisson_pmf(0.25, k_max),
+        lambda k_max: negative_binomial_pmf(2.0, 0.5, k_max),
+        lambda k_max: alternating_geometric_pmf(0.5, k_max),
+    ],
+    ids=["doubled_poisson", "negative_binomial", "alternating_geometric"],
+)
+def test_fractional_k_max_rejected(build):
+    with pytest.raises(DomainError, match="whole number"):
+        build(3.5)
+    assert len(build(np.int64(3))) == 4
+
+
 class TestZeroGap:
     def test_doubled_poisson_has_gap(self):
         assert has_zero_gap(doubled_poisson_pmf(0.25, 20))

@@ -1,6 +1,7 @@
 """Generator portability, reproducibility, and distributional correctness."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -195,6 +196,21 @@ class TestThinSample:
     def test_negative_count_rejected(self):
         with pytest.raises(DomainError):
             thin_sample(SampleBatch((3, 70, -1, 2), seed=0), 0.5, seed=1)
+
+    @pytest.mark.parametrize(
+        "counts, named",
+        [((2.5, 3.9), "2.5"), ((3, 2**63, 0.5), str(2**63)), ((1, 2**70), str(2**70)), ((4, math.nan), "nan")],
+        ids=["fractional", "int64-overflow", "beyond-uint64", "nan"],
+    )
+    def test_count_it_cannot_thin_is_refused_by_name(self, counts, named):
+        # sample_binomial has no answer for a fraction, and int64 holds no 2**63
+        with pytest.raises(DomainError, match=f"got {named}$"):
+            thin_sample(SampleBatch(counts, seed=0), 0.5, seed=1)
+
+    def test_bool_and_numpy_integer_counts_thin_as_ints(self):
+        counts = (True, np.int32(70), np.uint64(3), False, np.int64(200))
+        ints = SampleBatch(tuple(int(x) for x in counts), seed=0)
+        assert thin_sample(SampleBatch(counts, seed=0), 0.3, seed=2).values == thin_sample(ints, 0.3, seed=2).values
 
     def test_gof_against_thinned_law(self):
         params = HermiteParams((1.0, 0.5))
