@@ -8,6 +8,8 @@ with p_{-1} = ... = p_{1-r} = 0.  No term is negative, so nothing cancels.
 One engine evaluates it for every table, likelihood and gradient at any
 total rate by storing p_k = m_k * 2**e_k; its exponent shifts are exact,
 so wherever the plain recurrence stays normal it yields the same bits.
+Orders up to four step through four locals, the coefficients padded with
+zeros, in the general loop's order of addition; both give the same bits.
 The public functions refuse a mean sum_i i*a_i of 2**400 or more with
 OverflowGuard, since a single step could then overflow the mantissas.
 """
@@ -15,7 +17,9 @@ OverflowGuard, since a single step could then overflow the mantissas.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -39,6 +43,10 @@ _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 #: Public entry points refuse means sum_i i*a_i from here on: one step of the
 #: recurrence grows by up to the mean, and above ~2**423 that leaves the window.
 _MAX_MEAN = 2.0**400
+
+#: Orders up to this (at most 4) take the four-local step of _scaled_pmf;
+#: at 0 every order runs the general loop, which is the definition.
+_LOCAL_ORDER = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,13 +90,14 @@ class PmfTable:
 
     def truncate(self, k_max: int) -> "PmfTable":
         """A copy cut off at ``k_max`` (tail mass grows accordingly)."""
-        _check_k_max(k_max)
-        return PmfTable(self.probs[: k_max + 1])
+        return PmfTable(self.probs[: _check_k_max(k_max) + 1])
 
 
-def _check_k_max(k_max: int) -> None:
+def _check_k_max(k_max: int) -> int:
+    """``k_max`` as an int; a value that is not a whole number in [0, MAX_TABLE_LEN] is refused."""
     if not 0 <= k_max <= MAX_TABLE_LEN or k_max % 1:
         raise DomainError(f"k_max must be a whole number in [0, {MAX_TABLE_LEN}], got {k_max}")
+    return int(k_max)
 
 
 def _scaled_pmf(a: tuple[float, ...] | list[float], k_max: int) -> tuple[list[float], list[int]]:
@@ -99,30 +108,54 @@ def _scaled_pmf(a: tuple[float, ...] | list[float], k_max: int) -> tuple[list[fl
     by Sterbenz's lemma, so only n * _LN2_LO is rounded.  The r mantissas
     a step reads share one exponent; they shift when the newest is above
     2**_SHIFT, or when all are below 2**-_SHIFT but not all zero (gaps).
+
+    Up to order _LOCAL_ORDER a step reads the last four mantissas from
+    locals, the coefficients padded with zeros to four: a padded term adds
+    an exact 0.0 and the sum keeps the general loop's order, so both give
+    the same bits.  The general loop is the definition.
     """
     x, exp = -math.fsum(a), 0
     while abs(x) > 708.0:
         n = round(x / _LN2_HI)
         x, exp = (x - n * _LN2_HI) - n * _LN2_LO, exp + n
-    coeffs = [i * c for i, c in enumerate(a, start=1)]
+    # + 0.0 turns a -0.0 coefficient into 0.0, so no sum below is -0.0
+    # (the general loop's, which starts at 0.0, never is).
+    coeffs = [i * c + 0.0 for i, c in enumerate(a, start=1)]
     r = len(coeffs)
     m = [math.exp(x)] + [0.0] * k_max
     e = [exp] * (k_max + 1)
     hi, lo = 2.0**_SHIFT, 2.0**-_SHIFT
+    if r <= _LOCAL_ORDER:
+        c1, c2, c3, c4 = coeffs + [0.0] * (4 - r)
+        m1, m2, m3, m4 = m[0], 0.0, 0.0, 0.0
+        for k in range(1, k_max + 1):
+            if m1 > hi or (m1 < lo and 0.0 < max(m[max(k - r, 0) : k]) < lo):
+                exp += _rescale(m, e, k, r, m1 > hi)
+                m4, m3, m2, m1 = ([0.0] * 4 + m[max(k - 4, 0) : k])[-4:]
+            m1, m2, m3, m4 = (((c1 * m1 + c2 * m2) + c3 * m3) + c4 * m4) / k, m1, m2, m3
+            m[k] = m1
+            e[k] = exp
+        return m, e
+    window = range(r)
     for k in range(1, k_max + 1):
         top = m[k - 1]
         if top > hi or (top < lo and 0.0 < max(m[max(k - r, 0) : k]) < lo):
-            shift = _SHIFT if top > hi else -_SHIFT
-            for j in range(max(k - r, 0), k):
-                m[j] = math.ldexp(m[j], -shift)
-                e[j] += shift
-            exp += shift
+            exp += _rescale(m, e, k, r, top > hi)
         acc = 0.0
-        for i in range(min(r, k)):
+        for i in window if k >= r else range(k):
             acc += coeffs[i] * m[k - 1 - i]
         m[k] = acc / k
         e[k] = exp
     return m, e
+
+
+def _rescale(m: list[float], e: list[int], k: int, r: int, up: bool) -> int:
+    """Shift the mantissas m[k-r..k-1] down (``up``) or up by 2**_SHIFT; returns the exponent step."""
+    shift = _SHIFT if up else -_SHIFT
+    for j in range(max(k - r, 0), k):
+        m[j] = math.ldexp(m[j], -shift)
+        e[j] += shift
+    return shift
 
 
 def _guarded(params: HermiteParams) -> tuple[float, ...]:
@@ -140,8 +173,7 @@ def _guarded(params: HermiteParams) -> tuple[float, ...]:
 
 def pmf_table(params: HermiteParams, k_max: int) -> PmfTable:
     """Exact probabilities p_0..p_{k_max} by the recurrence above."""
-    _check_k_max(k_max)
-    m, e = _scaled_pmf(_guarded(params), int(k_max))
+    m, e = _scaled_pmf(_guarded(params), _check_k_max(k_max))
     # Any exponent below -2000 underflows; clipping keeps them all in int64.
     return PmfTable(np.ldexp(m, np.maximum(np.array(e, dtype=float), -2000.0).astype(np.int64)))
 
@@ -191,25 +223,36 @@ def _loglik(a: tuple[float, ...] | list[float], hist: CountHistogram) -> tuple[f
     """sum_k n_k log p_k at coefficients ``a``, and the scaled table (m, e) of
     :func:`_scaled_pmf` it read, through the largest count of ``hist``."""
     m, e = table = _scaled_pmf(a, hist.max_count)
-    terms = []
-    for count, freq in hist.bins:
-        mk = m[count]
-        if mk <= 0.0:
-            return float("-inf"), table
-        terms.append(freq * (math.log(mk) + e[count] * _LN2_HI + e[count] * _LN2_LO))
+    log = math.log
+    try:
+        if any(e):
+            terms = [freq * (log(m[c]) + e[c] * _LN2_HI + e[c] * _LN2_LO) for c, freq in hist.bins]
+        else:  # every e[c] * _LN2_HI + e[c] * _LN2_LO adds an exact 0.0
+            terms = [freq * log(m[c]) for c, freq in hist.bins]
+    except ValueError:  # log(0.0): an observed count has probability zero
+        return float("-inf"), table
     return math.fsum(terms), table
 
 
 def _gradient(m: list[float], e: list[int], hist: CountHistogram, r: int) -> list[float]:
     # Every observed count has p_k > 0 here: the ascent only visits points of
-    # finite likelihood, and loglik_gradient checks its input.  Above the
-    # largest count every term is freq * (0.0 - 1.0), and their fsum is -n.
+    # finite likelihood, and loglik_gradient checks its input.  The bins are
+    # sorted, so those with count < j form a prefix, whose terms freq * (0.0 -
+    # 1.0) sum exactly to minus its total frequency (at most 2**53, an exact
+    # double); fsum rounds the exact sum once, so that one term is the same.
+    # Above the largest count every bin is in the prefix, and the sum is -n.
+    counts = [c for c, _ in hist.bins]
+    below = list(accumulate((freq for _, freq in hist.bins), initial=0))
+    ldexp, shifted = math.ldexp, any(e)
     grad = []
     for j in range(1, min(r, hist.max_count) + 1):
-        terms = []
-        for count, freq in hist.bins:
-            ratio = math.ldexp(m[count - j] / m[count], e[count - j] - e[count]) if count >= j else 0.0
-            terms.append(freq * (ratio - 1.0))
+        i = bisect_left(counts, j)
+        if shifted:
+            terms = [freq * (ldexp(m[c - j] / m[c], e[c - j] - e[c]) - 1.0) for c, freq in hist.bins[i:]]
+        else:  # ldexp by 0 is exact
+            terms = [freq * (m[c - j] / m[c] - 1.0) for c, freq in hist.bins[i:]]
+        if i:
+            terms.append(-float(below[i]))
         grad.append(math.fsum(terms))
     if r > hist.max_count:
         grad += [-float(hist.n)] * (r - hist.max_count)

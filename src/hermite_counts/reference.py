@@ -42,7 +42,7 @@ def doubled_poisson_pmf(eta1: float, k_max: int) -> PmfTable:
     eta1 = float(eta1)
     if not eta1 > 0.0:
         raise DomainError(f"eta1 must be positive, got {eta1}")
-    _check_k_max(k_max)
+    k_max = _check_k_max(k_max)
     lam = 1.0 / (2.0 * eta1)
     probs = np.zeros(k_max + 1)
     term = math.exp(-lam)
@@ -70,7 +70,7 @@ def negative_binomial_pmf(mean: float, eta1: float, k_max: int) -> PmfTable:
         raise DomainError(f"mean must be positive, got {mean}")
     if not eta1 > 0.0:
         raise DomainError(f"eta1 must be positive, got {eta1}")
-    _check_k_max(k_max)
+    k_max = _check_k_max(k_max)
     odds = mean * eta1
     ratio = odds / (1.0 + odds)
     ratio_shape = mean / (1.0 + odds)
@@ -105,7 +105,7 @@ def alternating_geometric_pmf(p: float, k_max: int) -> PmfTable:
     15*p/7, so the parameter range ends at mean 15/7 (the base itself).
     """
     p = _check_thinning_fraction(p)
-    _check_k_max(k_max)
+    k_max = _check_k_max(k_max)
     base = _alternating_geometric_base()
     thinned = thin_pmf_oracle(base, p)
     return thinned.truncate(min(k_max, thinned.k_max))

@@ -372,16 +372,19 @@ def _trial_counts(block: Sequence[int]) -> np.ndarray:
 
 def _thin_blocks(blocks: Iterable[Sequence[int]], p: float, seed: int) -> Iterator[Sequence[int]]:
     """Check ``p`` now; return the blocks of counts thinned in turn, as
-    sample_binomial thins them one by one with one SplitMix64(seed)."""
+    sample_binomial thins them one by one with one SplitMix64(seed).  At
+    p = 1 every count is kept: each block is checked and handed back as is."""
     p = _check_thinning_fraction(p)
-    if p == 1.0:
-        return iter(blocks)
 
-    def thinned() -> Iterator[list[int]]:
+    def thinned() -> Iterator[Sequence[int]]:
         used = 0
         for block in blocks:
-            values, used = _thin_chunk(_trial_counts(block), p, seed, used)
-            yield values.tolist()
+            counts = _trial_counts(block)
+            if p == 1.0:
+                yield block
+            else:
+                values, used = _thin_chunk(counts, p, seed, used)
+                yield values.tolist()
 
     return thinned()
 

@@ -81,6 +81,7 @@ class TestPmfTable:
                 call(3.5)
         assert pmf_table(HermiteParams((1.0,)), 3.0).probs.tolist() == table.probs[:4].tolist()
         assert table.truncate(np.int64(3)).probs.tolist() == table.probs[:4].tolist()
+        assert table.truncate(3.0).probs.tolist() == table.probs[:4].tolist()
 
     @pytest.mark.parametrize(
         "probs",

@@ -180,6 +180,7 @@ def test_fractional_k_max_rejected(build):
     with pytest.raises(DomainError, match="whole number"):
         build(3.5)
     assert len(build(np.int64(3))) == 4
+    assert build(3.0).probs.tolist() == build(3).probs.tolist()
 
 
 class TestZeroGap:

@@ -207,6 +207,14 @@ class TestThinSample:
         with pytest.raises(DomainError, match=f"got {named}$"):
             thin_sample(SampleBatch(counts, seed=0), 0.5, seed=1)
 
+    def test_counts_are_checked_at_one_too(self):
+        # p = 1 keeps every count, but a count sample_binomial refuses is refused here as well
+        with pytest.raises(DomainError, match="got -1$"):
+            thin_sample(SampleBatch((-1, 2.5), seed=1), 1.0, seed=1)
+        counts = (True, np.int32(70), np.uint64(3), False, 5)
+        kept = thin_sample(SampleBatch(counts, seed=0), 1.0, seed=2).values
+        assert kept == counts and [type(x) for x in kept] == [type(x) for x in counts]
+
     def test_bool_and_numpy_integer_counts_thin_as_ints(self):
         counts = (True, np.int32(70), np.uint64(3), False, np.int64(200))
         ints = SampleBatch(tuple(int(x) for x in counts), seed=0)
