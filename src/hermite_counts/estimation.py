@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .data import CountHistogram
 from .errors import DataError, DomainError, OverflowGuard
-from .model import FactorialCumulants, HermiteParams
+from .model import FactorialCumulants, HermiteParams, _whole
 from .pmf import _gradient, _loglik
 
 #: Armijo line-search constants: sufficient-increase slope and step shrink.
@@ -77,8 +77,6 @@ def _rounded(x, what: str) -> float:
 
 def _factorial_moments(hist: CountHistogram, r: int):
     """The exact m_(k) = sum_bins freq * count!/(count-k)! / n, for k = 1..r in turn."""
-    if r < 1:
-        raise DomainError(f"order must be >= 1, got {r}")
     from fractions import Fraction  # loads decimal: kept off the package's start-up
     return (Fraction(sum(f * math.perm(c, k) for c, f in hist.bins), hist.n) for k in range(1, r + 1))
 
@@ -99,7 +97,8 @@ def sample_factorial_moments(hist: CountHistogram, r: int) -> tuple[float, ...]:
     once to the nearest double; one beyond the double range is refused with
     OverflowGuard, before any higher moment is formed.
     """
-    return tuple(_rounded(m, f"factorial moment {k}") for k, m in enumerate(_factorial_moments(hist, r), 1))
+    moments = _factorial_moments(hist, _whole(r, "r", 1))
+    return tuple(_rounded(m, f"factorial moment {k}") for k, m in enumerate(moments, 1))
 
 
 def factorial_moments_to_cumulants(moments: tuple[float, ...]) -> FactorialCumulants:
@@ -137,6 +136,7 @@ def fit_moments(hist: CountHistogram, r: int) -> HermiteParams:
     OverflowGuard before any arithmetic, since the exact work grows as r**2
     on ever longer rationals.
     """
+    r = _whole(r, "r", 1)
     if r > 170:
         raise OverflowGuard(f"the moment estimator runs to order 170, got order {r}")
     kappa = list(_factorial_cumulants(list(_factorial_moments(hist, r))))
@@ -235,6 +235,7 @@ def mle_iterates(
     after ``max_iter`` steps, at a step that rounds to no movement, or at a
     stall: no step alpha*g with alpha * max|g| > eps * max(a) raises the loglik.
     """
+    max_iter = _whole(max_iter, "max_iter", 0)
     mean = hist.mean()
     if mean == 0.0:
         raise DataError("sample mean is zero; every observation is 0")
@@ -339,7 +340,5 @@ def fit_mle(
     Climbs the ladder of :func:`_ladder` from order 1 and returns its order-r
     fit; ``max_iter`` bounds each rung, and ``init`` is that rung's start.
     """
-    if r < 1:
-        raise DomainError(f"order must be >= 1, got {r}")
-    *_, fit = _ladder(hist, r, tol, max_iter)
+    *_, fit = _ladder(hist, _whole(r, "r", 1), tol, max_iter)
     return fit

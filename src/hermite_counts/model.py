@@ -19,6 +19,8 @@ Three equivalent parameter systems live here:
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, OverflowGuard
@@ -37,6 +39,21 @@ def _doubles(values, name: str) -> tuple[float, ...]:
         return tuple(map(float, values))
     except OverflowError:  # an integer beyond the double range
         raise DomainError(f"an entry of {name} is beyond the double range") from None
+
+
+def _whole(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as an int: an int, a bool, a numpy integer, or a real number
+    with no fractional part (3.0, numpy's too), in [lo, hi], where a bound given
+    as None is open.  Anything else is refused with DomainError naming ``name``
+    and ``repr(value)``."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = int(value) if isinstance(value, numbers.Real) and math.isfinite(value) and value % 1 == 0 else None
+    if n is None or (lo is not None and n < lo) or (hi is not None and n > hi):
+        bounds = f" in [{lo}, {hi}]" if hi is not None else "" if lo is None else f" >= {lo}"
+        raise DomainError(f"{name} must be a whole number{bounds}, got {value!r}")
+    return n
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,10 +118,6 @@ class FactorialCumulants:
     def order(self) -> int:
         return len(self.kappa)
 
-    @property
-    def mean(self) -> float:
-        return self.kappa[0]
-
 
 @dataclass(frozen=True, slots=True)
 class CumulantSummary:
@@ -126,18 +139,6 @@ class ThinningInvariants:
     """
 
     eta: tuple[float, float, float]
-
-    @property
-    def eta1(self) -> float:
-        return self.eta[0]
-
-    @property
-    def eta2(self) -> float:
-        return self.eta[1]
-
-    @property
-    def eta3(self) -> float:
-        return self.eta[2]
 
 
 def _check_convertible(r: int) -> None:

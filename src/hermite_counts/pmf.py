@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import CountHistogram
 from .errors import DomainError, IterationCap, OverflowGuard
-from .model import HermiteParams, _sum_or_inf
+from .model import HermiteParams, _sum_or_inf, _whole
 
 #: Largest k_max of any table, adaptive or not.
 MAX_TABLE_LEN = 10**7
@@ -94,10 +94,7 @@ class PmfTable:
 
 
 def _check_k_max(k_max: int) -> int:
-    """``k_max`` as an int; a value that is not a whole number in [0, MAX_TABLE_LEN] is refused."""
-    if not 0 <= k_max <= MAX_TABLE_LEN or k_max % 1:
-        raise DomainError(f"k_max must be a whole number in [0, {MAX_TABLE_LEN}], got {k_max}")
-    return int(k_max)
+    return _whole(k_max, "k_max", 0, MAX_TABLE_LEN)  # reads the bound at call time
 
 
 def _scaled_pmf(a: tuple[float, ...] | list[float], k_max: int) -> tuple[list[float], list[int]]:

@@ -41,8 +41,8 @@ from itertools import chain, count
 
 import numpy as np
 
-from .errors import DomainError, OverflowGuard
-from .model import HermiteParams
+from .errors import DataError, DomainError, OverflowGuard
+from .model import HermiteParams, _whole
 from .transform import _check_thinning_fraction
 
 _MASK64 = (1 << 64) - 1
@@ -73,7 +73,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int) -> None:
-        self._state = int(seed) & _MASK64
+        self._state = _seed(seed)
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -87,10 +87,14 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
+def _seed(seed: int) -> int:
+    """``seed`` as a generator state: any whole number, masked to 64 bits."""
+    return _whole(seed, "seed") & _MASK64
+
+
 def derive_seed(seed: int, stream: int) -> int:
     """A decorrelated child seed for sub-stream ``stream`` of ``seed``."""
-    rng = SplitMix64((int(seed) ^ (int(stream) * 0xD1342543DE82EF95)) & _MASK64)
-    return rng.next_u64()
+    return SplitMix64(_whole(seed, "seed") ^ _whole(stream, "stream") * 0xD1342543DE82EF95).next_u64()
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,6 +108,8 @@ class SampleBatch:
         return len(self.values)
 
     def mean(self) -> float:
+        if not self.values:
+            raise DataError("an empty batch has no mean")
         return sum(self.values) / len(self.values)
 
 
@@ -179,8 +185,7 @@ def sample_binomial(trials: int, p: float, rng: SplitMix64) -> int:
     realistic counts (an exact trial-by-trial fallback covers the rest).
     :func:`thin_sample` reproduces it in blocks.
     """
-    if trials < 0:
-        raise DomainError(f"trial count must be >= 0, got {trials}")
+    trials = _whole(trials, "trial count", 0)
     if trials == 0 or p == 0.0:
         return 0
     if p == 1.0:
@@ -224,14 +229,13 @@ def _inversion_cdf(rate: float) -> np.ndarray:
 def _hermite_blocks(params: HermiteParams, n: int, seed: int) -> Iterator[list[int]]:
     """Check the inputs now; return ``n`` draws of sum_i i*X_i in lists of at
     most ``_BLOCK``, drawn as the lists are taken."""
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n}")
+    n = _whole(n, "sample size", 1)
     for i, rate in enumerate(params.a, start=1):
         if rate > MAX_COMPONENT_RATE:
             raise OverflowGuard(
                 f"component rate a_{i} = {rate} exceeds {MAX_COMPONENT_RATE}"
             )
-    seed = int(seed) & _MASK64  # np.uint64 refuses a negative seed
+    seed = _seed(seed)  # np.uint64 refuses a negative seed
     active = [(i, rate) for i, rate in enumerate(params.a, start=1) if rate > 0.0]
     if any(rate > _POISSON_INVERSION_MAX for _, rate in active):
         draws = [(i, _poisson_sampler(rate)) for i, rate in active]
@@ -263,8 +267,8 @@ def _hermite_blocks(params: HermiteParams, n: int, seed: int) -> Iterator[list[i
 
 def sample_hermite(params: HermiteParams, n: int, seed: int) -> SampleBatch:
     """``n`` independent draws of sum_i i*X_i with X_i ~ Poisson(a_i)."""
-    values = tuple(chain.from_iterable(_hermite_blocks(params, n, seed)))
-    return SampleBatch(values=values, seed=int(seed) & _MASK64)
+    seed = _seed(seed)
+    return SampleBatch(values=tuple(chain.from_iterable(_hermite_blocks(params, n, seed))), seed=seed)
 
 
 def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -360,13 +364,11 @@ def _thin_chunk(x: np.ndarray, p: float, seed: int, used: int) -> tuple[np.ndarr
 
 
 def _trial_counts(block: Sequence[int]) -> np.ndarray:
-    """``block`` as int64 counts; the first count that is negative, has a
-    fractional part or reaches 2**63 is refused with DomainError."""
+    """``block`` as int64 counts; the first that is not a whole number in [0, 2**63) is refused."""
     x = np.asarray(block)
     if x.dtype.kind not in "bi" or (x < 0).any():
         for v in block:
-            if v < 0 or v % 1 or v >= 2**63:
-                raise DomainError(f"trial count must be a whole number in [0, 2**63), got {v}")
+            _whole(v, "trial count", 0, 2**63 - 1)
     return x.astype(np.int64, copy=False)
 
 
@@ -396,7 +398,7 @@ def thin_sample(batch: SampleBatch, p: float, seed: int) -> SampleBatch:
     turn with one rng = SplitMix64(seed); it is computed in numpy blocks of
     at most _BLOCK counts and _BLOCK uniforms.
     """
-    seed = int(seed) & _MASK64
+    seed = _seed(seed)
     counts = batch.values
     blocks = (counts[lo : lo + _BLOCK] for lo in range(0, len(counts), _BLOCK))
     return SampleBatch(values=tuple(chain.from_iterable(_thin_blocks(blocks, p, seed))), seed=seed)

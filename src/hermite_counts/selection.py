@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .data import CountHistogram
 from .errors import DomainError
 from .estimation import DEFAULT_MAX_ITER, DEFAULT_TOL, FitResult, _ladder
+from .model import _whole
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,7 +44,7 @@ class SelectionTrace:
     steps: tuple[LadderStep, ...]
 
     def fit_for(self, order: int) -> FitResult:
-        return self.fits[order - 1]
+        return self.fits[_whole(order, "order", 1, len(self.fits)) - 1]
 
 
 def lrt_statistic(loglik_full: float, loglik_null: float) -> float:
@@ -81,8 +82,7 @@ def select_order(
     first non-rejection (p >= alpha) or at ``r_max``.  The fits are those
     :func:`fit_mle` returns for the same orders; ``max_iter`` bounds each.
     """
-    if r_max < 1:
-        raise DomainError(f"r_max must be >= 1, got {r_max}")
+    r_max = _whole(r_max, "r_max", 1)
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
 

@@ -36,6 +36,13 @@ or anywhere up to the 10**6 maximum.  The moment functions must answer or
 raise a ``HermiteError`` at orders 1 to 60 (the examples reach 188), and the
 likelihood fits at orders 1 to 3, on counts up to 12, must answer with a
 finite log-likelihood and the sample mean.
+
+Every integer argument of the public API (table lengths, sample sizes, orders,
+iteration caps, trial counts, seeds and streams) is fed ints, bools, numpy
+integers and floats, whole and fractional floats, NaN, infinities, None,
+strings and ints outside its range.  A whole number in range must answer
+exactly as its int does; anything else must be refused with a DomainError
+naming the argument.
 """
 
 import math
@@ -49,20 +56,27 @@ from hypothesis import strategies as st
 from hermite_counts import (
     CountHistogram,
     DataError,
+    DomainError,
     FactorialCumulants,
     HermiteError,
     HermiteParams,
     OverflowGuard,
+    PmfTable,
+    SampleBatch,
     SplitMix64,
     adaptive_pmf,
     add_params,
+    alternating_geometric_pmf,
+    doubled_poisson_pmf,
     factorial_cumulants_to_params,
     factorial_moments_to_cumulants,
     fit_mle,
     fit_moments,
+    negative_binomial_pmf,
     ordinary_cumulants,
     params_to_factorial_cumulants,
     pgf_eval,
+    pmf_table,
     sample_factorial_moments,
     sample_hermite,
     sample_poisson,
@@ -73,8 +87,8 @@ from hermite_counts import (
     thinning_invariants,
 )
 from hermite_counts.estimation import _onto_slice
-from hermite_counts.pmf import _scaled_pmf
-from hermite_counts.sampling import _BLOCK, MAX_COMPONENT_RATE, sample_binomial
+from hermite_counts.pmf import MAX_TABLE_LEN, _scaled_pmf
+from hermite_counts.sampling import _BLOCK, MAX_COMPONENT_RATE, derive_seed, sample_binomial
 
 #: Norm-wise agreement required; 3,000 examples of each property stayed below 6e-16.
 TOL = 1e-14
@@ -293,3 +307,95 @@ def test_hermite_log_pmf_matches_the_mpmath_recurrence(a, k_max):
                 assert m[k] == 0.0
             else:
                 assert log_pmf_error(m, e, k, mpmath.log(pk)) <= LOG_PMF_TOL
+
+
+HIST = CountHistogram.from_mapping({0: 3, 1: 4, 2: 2, 3: 1})
+MODEL = HermiteParams((1.0, 0.5))
+TRACE = select_order(HIST, 2, 0.5)
+
+#: Every integer argument of the public API: its name in the error, a call
+#: that passes it, and its range [lo, hi], where None is an open bound.
+INTEGER_ARGUMENTS = {
+    "pmf_table": ("k_max", lambda v: pmf_table(MODEL, v), 0, MAX_TABLE_LEN),
+    "PmfTable.truncate": ("k_max", pmf_table(MODEL, 6).truncate, 0, MAX_TABLE_LEN),
+    "doubled_poisson_pmf": ("k_max", lambda v: doubled_poisson_pmf(0.25, v), 0, MAX_TABLE_LEN),
+    "negative_binomial_pmf": ("k_max", lambda v: negative_binomial_pmf(2.0, 0.5, v), 0, MAX_TABLE_LEN),
+    "alternating_geometric_pmf": ("k_max", lambda v: alternating_geometric_pmf(0.5, v), 0, MAX_TABLE_LEN),
+    "sample_hermite.n": ("sample size", lambda v: sample_hermite(MODEL, v, 1), 1, None),
+    "sample_hermite.seed": ("seed", lambda v: sample_hermite(MODEL, 3, v), None, None),
+    "thin_sample.seed": ("seed", lambda v: thin_sample(SampleBatch((3, 70, 0, 2), 0), 0.5, v), None, None),
+    "SplitMix64": ("seed", lambda v: SplitMix64(v).next_u64(), None, None),
+    "derive_seed.seed": ("seed", lambda v: derive_seed(v, 1), None, None),
+    "derive_seed.stream": ("stream", lambda v: derive_seed(5, v), None, None),
+    "sample_binomial": ("trial count", lambda v: sample_binomial(v, 0.5, SplitMix64(1)), 0, None),
+    "fit_mle.r": ("r", lambda v: fit_mle(HIST, v), 1, None),
+    "fit_mle.max_iter": ("max_iter", lambda v: fit_mle(HIST, 2, max_iter=v), 0, None),
+    "fit_moments": ("r", lambda v: fit_moments(HIST, v), 1, None),
+    "sample_factorial_moments": ("r", lambda v: sample_factorial_moments(HIST, v), 1, None),
+    "select_order.r_max": ("r_max", lambda v: select_order(HIST, v, 0.5), 1, None),
+    "select_order.max_iter": ("max_iter", lambda v: select_order(HIST, 2, 0.5, max_iter=v), 0, None),
+    "SelectionTrace.fit_for": ("order", TRACE.fit_for, 1, 2),
+}
+
+
+def accepted(value, lo, hi):
+    """int(value) where the whole-number rule takes ``value`` in [lo, hi], else None."""
+    real = isinstance(value, (float, np.floating)) and math.isfinite(value) and value % 1 == 0
+    if isinstance(value, (int, np.integer)) or real:
+        n = int(value)
+        if (lo is None or lo <= n) and (hi is None or n <= hi):
+            return n
+    return None
+
+
+def outcome(call, value):
+    """What ``call(value)`` gives, as a comparable value: a table's entries, or
+    the type of the HermiteError it raises."""
+    try:
+        result = call(value)
+    except HermiteError as exc:
+        return type(exc)
+    return result.probs.tolist() if isinstance(result, PmfTable) else result
+
+
+@pytest.mark.parametrize("function", sorted(INTEGER_ARGUMENTS))
+def test_integer_argument_takes_whole_floats_and_refuses_the_rest(function):
+    name, call, lo, hi = INTEGER_ARGUMENTS[function]
+    k = min(3, hi or 3)
+    assert outcome(call, float(k)) == outcome(call, k) == outcome(call, np.float64(k))
+    for value in [1.5, math.nan, math.inf, -math.inf, None, "3"] + ([] if lo is None else [lo - 1]):
+        with pytest.raises(DomainError, match=f"^{name} must be a whole number"):
+            call(value)
+
+
+def integer_like(lo, hi):
+    small = st.integers(-3, 6)
+    values = [
+        small,
+        st.booleans(),
+        small.map(np.int64),
+        st.integers(0, 6).map(np.uint64),
+        small.map(float),
+        small.map(np.float64),
+        st.floats(-4.0, 7.0),
+        st.floats(-4.0, 7.0, width=32).map(np.float32),
+        st.sampled_from([math.nan, math.inf, -math.inf, None, "3", b"3", 3j]),
+    ]
+    if hi is not None:
+        values.append(st.just(hi + 1))
+    if lo is None:  # seeds: any whole number, masked to 64 bits
+        values += [st.integers(-(2**70), 2**70), st.floats()]
+    return st.one_of(values)
+
+
+@settings(max_examples=100)
+@given(data=st.data(), function=st.sampled_from(sorted(INTEGER_ARGUMENTS)))
+def test_every_integer_argument_answers_as_its_int_or_is_refused(data, function):
+    name, call, lo, hi = INTEGER_ARGUMENTS[function]
+    value = data.draw(integer_like(lo, hi))
+    n = accepted(value, lo, hi)
+    if n is None:
+        with pytest.raises(DomainError, match=f"^{name} must be a whole number"):
+            call(value)
+    else:
+        assert outcome(call, value) == outcome(call, n)

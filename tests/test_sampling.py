@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hermite_counts import (
+    DataError,
     DomainError,
     HermiteParams,
     OverflowGuard,
@@ -215,6 +216,15 @@ class TestThinSample:
         kept = thin_sample(SampleBatch(counts, seed=0), 1.0, seed=2).values
         assert kept == counts and [type(x) for x in kept] == [type(x) for x in counts]
 
+    @pytest.mark.parametrize("counts, named", [((3, None), "None"), ((3, "4"), "'4'")], ids=["None", "string"])
+    def test_count_that_is_no_number_is_refused_by_name(self, counts, named):
+        with pytest.raises(DomainError, match=f"got {named}$"):
+            thin_sample(SampleBatch(counts, seed=0), 0.5, seed=1)
+
+    def test_empty_batch_has_no_mean(self):
+        with pytest.raises(DataError, match="empty"):
+            thin_sample(SampleBatch((), seed=0), 0.5, seed=1).mean()
+
     def test_bool_and_numpy_integer_counts_thin_as_ints(self):
         counts = (True, np.int32(70), np.uint64(3), False, np.int64(200))
         ints = SampleBatch(tuple(int(x) for x in counts), seed=0)
@@ -297,6 +307,28 @@ GOLDEN_HERMITE_RATES = {
     (2**64 - 1, (1e6,)): "6265387b949fdf00336f361fad4b875977d7930b08a61f375fbf289db665c34c",
 }
 
+#: SHA-256 of 5000 draws with many components in the rejection regime, or one
+#: beside an inverted and a zero component, computed by sample_poisson over one
+#: SplitMix64 per seed.
+GOLDEN_HERMITE_REJECTION = {
+    (0, (40.0,) * 8): "4f2ed085c0ab178ababe46ec5f8958c1c874b84c97665270abe6a76ac4e41045",
+    (0, (0.3, 0.0, 31.0)): "e2d5097bde3567749fde6605ca3335bdf19baaf02547c34d22dcc1cc32a639fd",
+    (42, (40.0,) * 8): "2c27b3815aec84ba34b2bd2822ccf5bf7c6cbe0675bfea0c106e2281f74f12d6",
+    (42, (0.3, 0.0, 31.0)): "d01c0345d70458aba639aa9e0f09e8496828eb5398b05204e1595cfaf9b54624",
+    (2**64 - 1, (40.0,) * 8): "5773d2f71708a263d5ffb928ad612fc6e39da60a2261f5e6483a846c8a85e052",
+    (2**64 - 1, (0.3, 0.0, 31.0)): "3b937302a85eba564f25aa8d3ee97ee0c7600cb4fc493ff99cc1cc3677dc5201",
+}
+
+#: derive_seed(seed, stream); (seed, 1) seeds the stream of ``sample --thin``.
+GOLDEN_DERIVED_SEEDS = {
+    (0, 1): 17629623748622851610,
+    (42, 1): 527119514220057781,
+    (-1, 1): 11632374133438027796,
+    (2**64 + 5, 1): 15540687011558237927,
+    (2**64 - 1, 2): 1861275276511547602,
+    (7, 0): 7191089600892374487,
+}
+
 
 class TestGoldenStreams:
     @pytest.mark.parametrize("p", FRACTIONS)
@@ -316,6 +348,16 @@ class TestGoldenStreams:
     def test_sample_hermite_stream_at_extreme_rates(self, seed, a):
         values = sample_hermite(HermiteParams(a), 5000, seed).values
         assert stream_digest(values) == GOLDEN_HERMITE_RATES[(seed, a)]
+
+    @pytest.mark.parametrize("a", sorted({a for _, a in GOLDEN_HERMITE_REJECTION}), ids=str)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sample_hermite_stream_in_the_rejection_regime(self, seed, a):
+        values = sample_hermite(HermiteParams(a), 5000, seed).values
+        assert stream_digest(values) == GOLDEN_HERMITE_REJECTION[(seed, a)]
+
+    @pytest.mark.parametrize("seed, stream", sorted(GOLDEN_DERIVED_SEEDS), ids=str)
+    def test_derived_seed(self, seed, stream):
+        assert sampling.derive_seed(seed, stream) == GOLDEN_DERIVED_SEEDS[(seed, stream)]
 
     @pytest.mark.parametrize("p", FRACTIONS)
     def test_thin_sample_matches_scalar_oracle(self, p):
