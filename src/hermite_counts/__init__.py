@@ -7,6 +7,9 @@ between the coefficient / factorial-cumulant / summary parameterizations,
 thinning and convolution in parameter space with distribution-level
 oracles, reproducible sampling, maximum-likelihood fitting, and order
 selection with the boundary-corrected likelihood-ratio test.
+
+numpy is imported only inside the functions that use it, so importing the
+package, fitting and selecting start without it.
 """
 
 from .data import CountHistogram

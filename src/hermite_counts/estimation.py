@@ -149,6 +149,17 @@ def fit_moments(hist: CountHistogram, r: int) -> HermiteParams:
     return HermiteParams(tuple(_rounded(x, f"coefficient a_{j}") for j, x in enumerate(a, start=1)))
 
 
+def _check_tol(tol) -> float:
+    """``tol`` as a float; anything but a number in [0, inf) is refused with DomainError."""
+    try:
+        inside = 0.0 <= tol < math.inf
+    except (TypeError, ValueError):  # None, a string
+        inside = False
+    if not inside:
+        raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
+    return float(tol)
+
+
 def _onto_slice(y, mean: float) -> list[float]:
     """Euclidean projection of ``y`` onto the slice {a >= 0, sum_i i*a_i = mean}.
 
@@ -234,8 +245,13 @@ def mle_iterates(
     on S to rounding).  Iteration stops once ``grad_norm`` <= tol * (1 + |loglik|),
     after ``max_iter`` steps, at a step that rounds to no movement, or at a
     stall: no step alpha*g with alpha * max|g| > eps * max(a) raises the loglik.
+    ``tol`` must be finite and >= 0; it and ``max_iter`` are checked at the call.
     """
-    max_iter = _whole(max_iter, "max_iter", 0)
+    return _iterates(hist, init, _check_tol(tol), _whole(max_iter, "max_iter", 0))
+
+
+def _iterates(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: int):
+    """:func:`mle_iterates` on a checked ``tol`` and ``max_iter``."""
     mean = hist.mean()
     if mean == 0.0:
         raise DataError("sample mean is zero; every observation is 0")
@@ -296,7 +312,7 @@ def mle_iterates(
 
 def _ascend(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: int) -> FitResult:
     iterations = -1  # the first yield is the initial point, not a step
-    for params, loglik, gnorm in mle_iterates(hist, init, tol=tol, max_iter=max_iter):
+    for params, loglik, gnorm in _iterates(hist, init, tol, max_iter):
         iterations += 1
     converged = gnorm <= tol * (1.0 + abs(loglik))
     return FitResult(
@@ -316,8 +332,9 @@ def _ladder(hist: CountHistogram, r_max: int, tol: float, max_iter: int):
     the order-r fit with a zero appended, a point of the larger family with
     the same likelihood.  Every start is therefore feasible and on the mean
     slice, and since the line search accepts no decrease, the logliks never
-    fall along the ladder.
+    fall along the ladder.  ``tol`` and ``max_iter`` are checked once, here.
     """
+    tol, max_iter = _check_tol(tol), _whole(max_iter, "max_iter", 0)
     init = HermiteParams((hist.mean(),))
     for _ in range(r_max):
         fit = _ascend(hist, init, tol, max_iter)

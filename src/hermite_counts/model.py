@@ -41,6 +41,15 @@ def _doubles(values, name: str) -> tuple[float, ...]:
         raise DomainError(f"an entry of {name} is beyond the double range") from None
 
 
+def _real(value, name: str) -> float:
+    """float(value); a value float() refuses (None, a string that is not a
+    number, an int beyond the double range) is refused with DomainError naming ``name``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+
+
 def _whole(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
     """``value`` as an int: an int, a bool, a numpy integer, or a real number
     with no fractional part (3.0, numpy's too), in [lo, hi], where a bound given

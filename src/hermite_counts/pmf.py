@@ -21,11 +21,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-import numpy as np
-
 from .data import CountHistogram
 from .errors import DomainError, IterationCap, OverflowGuard
-from .model import HermiteParams, _sum_or_inf, _whole
+from .model import HermiteParams, _real, _sum_or_inf, _whole
 
 #: Largest k_max of any table, adaptive or not.
 MAX_TABLE_LEN = 10**7
@@ -62,6 +60,8 @@ class PmfTable:
     tail_mass: float = field(init=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise DomainError("a pmf table needs a one-dimensional, non-empty vector")
@@ -170,6 +170,8 @@ def _guarded(params: HermiteParams) -> tuple[float, ...]:
 
 def pmf_table(params: HermiteParams, k_max: int) -> PmfTable:
     """Exact probabilities p_0..p_{k_max} by the recurrence above."""
+    import numpy as np
+
     m, e = _scaled_pmf(_guarded(params), _check_k_max(k_max))
     # Any exponent below -2000 underflows; clipping keeps them all in int64.
     return PmfTable(np.ldexp(m, np.maximum(np.array(e, dtype=float), -2000.0).astype(np.int64)))
@@ -187,7 +189,9 @@ def adaptive_pmf(params: HermiteParams, eps: float) -> PmfTable:
     the ``order`` before it, so it rounds to zero too and no longer table
     holds more mass.
     """
-    eps = float(eps)
+    import numpy as np
+
+    eps = _real(eps, "eps")
     if not (0.0 < eps < 1.0):
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
     mean = _sum_or_inf(i * c for i, c in enumerate(params.a, start=1))
@@ -272,6 +276,8 @@ def loglik_gradient(params: HermiteParams, hist: CountHistogram) -> np.ndarray:
     d p_k / d a_j = p_{k-j} [k >= j] - p_k, hence
     d l / d a_j = sum_k n_k (p_{k-j}/p_k - 1).
     """
+    import numpy as np
+
     m, e = _scaled_pmf(_guarded(params), hist.max_count)
     for count, _ in hist.bins:
         if m[count] <= 0.0:

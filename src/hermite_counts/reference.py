@@ -22,8 +22,6 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .model import hermite2_from_mean_variance
 from .pmf import PmfTable, _check_k_max, pmf_table
@@ -39,6 +37,8 @@ def doubled_poisson_pmf(eta1: float, k_max: int) -> PmfTable:
     All odd entries are exactly zero.  Thinning this law with p = mean*eta1
     reproduces the order-2 Hermite law with that mean and dispersion eta1.
     """
+    import numpy as np
+
     eta1 = float(eta1)
     if not eta1 > 0.0:
         raise DomainError(f"eta1 must be positive, got {eta1}")
@@ -64,6 +64,8 @@ def negative_binomial_pmf(mean: float, eta1: float, k_max: int) -> PmfTable:
     Neither forms 1/eta1, which overflows for a subnormal eta1, so as
     eta1 -> 0 the law tends to Poisson(mean) all the way down.
     """
+    import numpy as np
+
     mean = float(mean)
     eta1 = float(eta1)
     if not mean > 0.0:
@@ -83,6 +85,8 @@ def negative_binomial_pmf(mean: float, eta1: float, k_max: int) -> PmfTable:
 
 def _alternating_geometric_base() -> PmfTable:
     """Base law p_{2k} = c/3**k, p_{2k+1} = c/2**k with c = 2/7, tail < 1e-14."""
+    import numpy as np
+
     c = 2.0 / 7.0
     probs = [c, c]
     even, odd = c, c
@@ -137,6 +141,8 @@ def has_zero_gap(table: PmfTable) -> bool:
     thinning spreads mass downward, so a thinned law supported at n is
     positive everywhere below n.
     """
+    import numpy as np
+
     probs = table.probs
     positive = np.nonzero(probs > 0.0)[0]
     if positive.size == 0:
@@ -156,6 +162,8 @@ def _deviation_check(
     name: str, tol: float, pairs: Iterable[tuple[np.ndarray | float, np.ndarray | float]]
 ) -> CheckResult:
     """Passes when the largest |got - want| over all pairs is within ``tol``; NaN fails."""
+    import numpy as np
+
     worst = float(np.max([np.max(np.abs(np.subtract(got, want))) for got, want in pairs]))
     return CheckResult(name, worst <= tol, f"max dev {worst:.3e}")
 

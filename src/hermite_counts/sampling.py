@@ -39,8 +39,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, count
 
-import numpy as np
-
 from .errors import DataError, DomainError, OverflowGuard
 from .model import HermiteParams, _whole
 from .transform import _check_thinning_fraction
@@ -215,6 +213,8 @@ def _inversion_cdf(rate: float) -> np.ndarray:
     """sample_poisson's running cdf at 0 < ``rate`` <= 30, accumulated in its
     order, through the entry where the term underflows to 0.  Its search
     returns min(searchsorted(cdf, u, "right"), len(cdf) - 1)."""
+    import numpy as np
+
     term = cum = math.exp(-rate)
     cdf = [cum]
     k = 0
@@ -229,6 +229,8 @@ def _inversion_cdf(rate: float) -> np.ndarray:
 def _hermite_blocks(params: HermiteParams, n: int, seed: int) -> Iterator[list[int]]:
     """Check the inputs now; return ``n`` draws of sum_i i*X_i in lists of at
     most ``_BLOCK``, drawn as the lists are taken."""
+    import numpy as np
+
     n = _whole(n, "sample size", 1)
     for i, rate in enumerate(params.a, start=1):
         if rate > MAX_COMPONENT_RATE:
@@ -277,6 +279,8 @@ def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
     The j-th output mixes seed + j * gamma (mod 2**64), so any stretch of
     the stream is computed without the outputs before it.
     """
+    import numpy as np
+
     # in place, so that at most two arrays of ``count`` are alive at once
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z *= np.uint64(_GAMMA)
@@ -302,6 +306,8 @@ def _uniform_stream(seed: int) -> Callable[[], float]:
 def _binomial_cdf(trials: int, q: float, u_max: float) -> np.ndarray:
     """sample_binomial's running cdf for ``trials``, accumulated in its order,
     up to the first entry above ``u_max`` or to index ``trials``."""
+    import numpy as np
+
     term = cum = (1.0 - q) ** trials
     ratio = q / (1.0 - q)
     cdf = [cum]
@@ -319,6 +325,8 @@ def _thin_chunk(x: np.ndarray, p: float, seed: int, used: int) -> tuple[np.ndarr
 
     Returns the thinned counts and the number of uniforms used after them.
     """
+    import numpy as np
+
     flip = p > 0.5
     q = 1.0 - p if flip else p
     large = x > _BERNOULLI_MAX
@@ -365,6 +373,8 @@ def _thin_chunk(x: np.ndarray, p: float, seed: int, used: int) -> tuple[np.ndarr
 
 def _trial_counts(block: Sequence[int]) -> np.ndarray:
     """``block`` as int64 counts; the first that is not a whole number in [0, 2**63) is refused."""
+    import numpy as np
+
     x = np.asarray(block)
     if x.dtype.kind not in "bi" or (x < 0).any():
         for v in block:

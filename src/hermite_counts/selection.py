@@ -83,8 +83,12 @@ def select_order(
     :func:`fit_mle` returns for the same orders; ``max_iter`` bounds each.
     """
     r_max = _whole(r_max, "r_max", 1)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    try:
+        inside = 0.0 < alpha < 1.0
+    except (TypeError, ValueError):  # None, a string
+        inside = False
+    if not inside:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
 
     ladder = _ladder(hist, r_max, tol, max_iter)
     fits = [next(ladder)]

@@ -12,10 +12,8 @@ tolerance.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import DomainError
-from .model import FactorialCumulants, HermiteParams
+from .model import FactorialCumulants, HermiteParams, _real
 from .pmf import PmfTable
 
 #: Tables longer than this are refused by the thinning oracle (it is
@@ -24,9 +22,9 @@ ORACLE_MAX_LEN = 5001
 
 
 def _check_thinning_fraction(p: float) -> float:
-    p = float(p)
+    p = _real(p, "thinning fraction p")
     if not (0.0 < p <= 1.0):
-        raise DomainError(f"thinning fraction must lie in (0, 1], got {p}")
+        raise DomainError(f"thinning fraction p must lie in (0, 1], got {p}")
     return p
 
 
@@ -80,6 +78,8 @@ def add_params(first: HermiteParams, second: HermiteParams) -> HermiteParams:
 
 def convolve_pmf_oracle(first: PmfTable, second: PmfTable) -> PmfTable:
     """Distribution of the sum, (P*Q)_k = sum_j P_j Q_{k-j}, by direct convolution."""
+    import numpy as np
+
     return PmfTable(np.convolve(first.probs, second.probs))
 
 
@@ -91,6 +91,8 @@ def thin_pmf_oracle(table: PmfTable, p: float) -> PmfTable:
     length.  Horner's rule from the top entry down, out <- (q + p*t)*out + P_n,
     expands it with non-negative terms only.  Quadratic in the table length.
     """
+    import numpy as np
+
     p = _check_thinning_fraction(p)
     if len(table) > ORACLE_MAX_LEN:
         raise DomainError(

@@ -22,6 +22,7 @@ from hermite_counts import (
     lrt_statistic,
     sample_factorial_moments,
     sample_hermite,
+    select_order,
 )
 from hermite_counts.estimation import (
     DEFAULT_MAX_ITER,
@@ -298,6 +299,23 @@ class TestFitMle:
     def test_order_below_one(self):
         with pytest.raises(DomainError):
             fit_mle(CountHistogram.from_mapping({0: 5, 1: 5}), 0)
+
+    def test_tol_outside_its_domain_refused(self):
+        # tol = inf would report the start (1.575, 0) converged at loglik
+        # -143.97, where the maximum is -120.42, and select_order would then
+        # choose order 1 with statistic 0; NaN and -1 would run to the cap.
+        hist = CountHistogram.from_mapping({0: 30, 1: 10, 2: 25, 4: 12, 6: 3})
+        start = HermiteParams((hist.mean(), 0.0))
+        for tol in (math.inf, -math.inf, math.nan, -1.0):
+            with pytest.raises(DomainError, match="^tol must"):
+                fit_mle(hist, 2, tol=tol)
+            with pytest.raises(DomainError, match="^tol must"):
+                select_order(hist, 3, 0.05, tol=tol)
+            with pytest.raises(DomainError, match="^tol must"):
+                mle_iterates(hist, start, tol=tol)
+        best = fit_mle(hist, 2)
+        assert best.converged and best.loglik == pytest.approx(-120.4167, abs=1e-4)
+        assert fit_mle(hist, 2, tol=0.0).loglik >= best.loglik
 
     def test_start_with_zero_likelihood_rejected(self):
         # a = (0, 0.5) puts all mass on even counts

@@ -42,10 +42,14 @@ iteration caps, trial counts, seeds and streams) is fed ints, bools, numpy
 integers and floats, whole and fractional floats, NaN, infinities, None,
 strings and ints outside its range.  A whole number in range must answer
 exactly as its int does; anything else must be refused with a DomainError
-naming the argument.
+naming the argument.  The real-valued arguments with a range (the level
+alpha, the tail eps, the thinning fraction p and the tolerance tol) must
+answer a numpy float or a Fraction as they answer the float, and refuse None,
+a string, a list and values outside the range with a DomainError naming them.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -83,10 +87,11 @@ from hermite_counts import (
     select_order,
     thin_factorial_cumulants,
     thin_params,
+    thin_pmf_oracle,
     thin_sample,
     thinning_invariants,
 )
-from hermite_counts.estimation import _onto_slice
+from hermite_counts.estimation import _onto_slice, mle_iterates
 from hermite_counts.pmf import MAX_TABLE_LEN, _scaled_pmf
 from hermite_counts.sampling import _BLOCK, MAX_COMPONENT_RATE, derive_seed, sample_binomial
 
@@ -399,3 +404,35 @@ def test_every_integer_argument_answers_as_its_int_or_is_refused(data, function)
             call(value)
     else:
         assert outcome(call, value) == outcome(call, n)
+
+
+#: Every real-valued argument with a range: its name in the error, a call
+#: that passes it, a value inside the range and values outside it.
+REAL_ARGUMENTS = {
+    "select_order.alpha": ("alpha", lambda v: select_order(HIST, 2, v), 0.25, [0.0, 1.0, math.nan]),
+    "adaptive_pmf.eps": ("eps", lambda v: adaptive_pmf(MODEL, v), 0.125, [0.0, 1.0, math.nan]),
+    "thin_params.p": ("thinning fraction p", lambda v: thin_params(MODEL, v), 0.5, [0.0, 1.5, math.nan]),
+    "thin_pmf_oracle.p": (
+        "thinning fraction p",
+        lambda v: thin_pmf_oracle(pmf_table(MODEL, 6), v),
+        0.5,
+        [0.0, 1.5, math.nan],
+    ),
+    "fit_mle.tol": ("tol", lambda v: fit_mle(HIST, 2, tol=v), 0.0625, [-1.0, math.inf, math.nan]),
+    "select_order.tol": ("tol", lambda v: select_order(HIST, 2, 0.5, tol=v), 0.0625, [-1.0, math.inf, math.nan]),
+    "mle_iterates.tol": (
+        "tol",
+        lambda v: list(mle_iterates(HIST, HermiteParams((HIST.mean(), 0.0)), tol=v)),
+        0.0625,
+        [-1.0, math.inf, math.nan],
+    ),
+}
+
+
+@pytest.mark.parametrize("function", sorted(REAL_ARGUMENTS))
+def test_real_argument_takes_any_real_number_and_refuses_the_rest(function):
+    name, call, inside, outside = REAL_ARGUMENTS[function]
+    assert outcome(call, np.float64(inside)) == outcome(call, Fraction(inside)) == outcome(call, inside)
+    for value in [None, "x", [inside]] + outside:
+        with pytest.raises(DomainError, match=f"^{name} must"):
+            call(value)

@@ -1,0 +1,104 @@
+"""Start-up: numpy is imported only inside the functions that use it.
+
+Each check runs in a fresh interpreter with ``PYTHONPATH=src``.  Importing
+the package and the CLI, and running ``fit`` (both methods), ``select``,
+``convert`` and ``thin``, must leave numpy unloaded.  The commands that do
+use it (``pmf``, ``sample`` in both regimes and with ``--thin``, and
+``verify``), run first in a fresh interpreter, must print exactly the
+stdout pinned below.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+#: Imports the package, then the CLI, then runs each command line of the JSON
+#: list in argv[1] in turn; prints a JSON list with one entry per step: its
+#: name, its exit code and whether numpy is loaded after it.
+NUMPY_FREE_SESSION = """
+import contextlib, io, json, sys
+steps = []
+import hermite_counts
+steps.append(["import hermite_counts", 0, "numpy" in sys.modules])
+from hermite_counts import cli
+steps.append(["import hermite_counts.cli", 0, "numpy" in sys.modules])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    steps.append([" ".join(argv[:1] + argv[2:]), code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+#: SHA-256 of the stdout of each command run first in a fresh interpreter.
+FIRST_CALL_STDOUT = {
+    "pmf": ("inversion", ["--eps", "1e-12"], "d240c809f1f668200e3969884b763a7ba26ee63d5bc3cce8e3b314a427618777"),
+    "sample": (
+        "inversion",
+        ["--n", "3000", "--seed", "11"],
+        "f7887275925c58f395d953509231ad8516ced383cff627da8475a91fb38aa37e",
+    ),
+    "sample-rejection": (
+        "rejection",
+        ["--n", "3000", "--seed", "11"],
+        "0c9a70c7a7304fb9be2f71f27802b4a47a96eb5c194702d24b5fdb5f7b535d0f",
+    ),
+    "sample-thin": (
+        "rejection",
+        ["--n", "3000", "--seed", "11", "--thin", "0.5"],
+        "772998da88b3e62ae01fd9aa6c0cad68339e17b213f462582e934e558c4f732e",
+    ),
+    "verify": (None, [], "03bc8954e8b03464fb212fa17ca7ad93bb20d0a6ea05b7c3ca656f9245223c25"),
+}
+
+#: a = (1, 0.5, 0.25) draws by cdf inversion; a = (40, 10) has a rate above 30.
+MODELS = {"inversion": [1.0, 0.5, 0.25], "rejection": [40.0, 10.0]}
+
+
+def fresh_python(*args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, check=False)
+
+
+def write_models(tmp_path):
+    paths = {}
+    for name, a in MODELS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"order": len(a), "a": a}))
+    return paths
+
+
+def test_numpy_free_commands_never_load_numpy(tmp_path):
+    counts = tmp_path / "counts.txt"
+    counts.write_text("\n".join(map(str, [0, 1, 2, 0, 3, 1, 4, 2, 0, 6] * 5)) + "\n")
+    model = str(write_models(tmp_path)["inversion"])
+    argvs = [
+        ["fit", str(counts), "--order", "2"],
+        ["fit", str(counts), "--order", "2", "--method", "moments"],
+        ["select", str(counts), "--r-max", "3"],
+        ["convert", model, "--to", "cumulants"],
+        ["convert", model, "--to", "params"],
+        ["convert", model, "--to", "summary"],
+        ["thin", model, "--p", "0.5"],
+    ]
+    proc = fresh_python("-c", NUMPY_FREE_SESSION, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr.decode()
+    steps = json.loads(proc.stdout)
+    assert len(steps) == 2 + len(argvs)
+    assert [step for step in steps if step[1] != 0 or step[2]] == []
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_CALL_STDOUT))
+def test_numpy_commands_called_first_print_the_pinned_stdout(tmp_path, case):
+    model, options, digest = FIRST_CALL_STDOUT[case]
+    command = case.split("-")[0]
+    argv = [command] + ([str(write_models(tmp_path)[model])] if model else []) + options
+    proc = fresh_python("-m", "hermite_counts", *argv)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
