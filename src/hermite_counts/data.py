@@ -30,7 +30,7 @@ class CountHistogram:
         for count, freq in self.bins:
             try:
                 integral = count == int(count) and freq == int(freq)
-            except (OverflowError, ValueError):  # int() of inf or nan
+            except (OverflowError, TypeError, ValueError):  # int() of inf, nan, None
                 integral = False
             if not integral:
                 raise DataError("histogram entries must be integers")

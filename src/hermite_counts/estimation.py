@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .data import CountHistogram
 from .errors import DataError, DomainError, OverflowGuard
-from .model import FactorialCumulants, HermiteParams, _whole
+from .model import _MAX_EXACT_ORDER, FactorialCumulants, HermiteParams, _doubles, _real, _whole
 from .pmf import _gradient, _loglik
 
 #: Armijo line-search constants: sufficient-increase slope and step shrink.
@@ -108,11 +108,12 @@ def factorial_moments_to_cumulants(moments: tuple[float, ...]) -> FactorialCumul
     kappa_(k) = m_(k) - sum_{j=1..k-1} C(k-1, j-1) kappa_(j) m_(k-j),
     which reproduces the closed forms kappa_(2) = m_(2) - m_(1)**2, etc.,
     exactly on the rationals the given doubles stand for, and rounds each
-    kappa_(k) once to the nearest double.  A non-finite moment is refused
-    with DomainError, a cumulant beyond the double range with OverflowGuard,
-    before any higher one is formed.  The work grows as len(moments)**2 on
-    ever longer rationals.
+    kappa_(k) once to the nearest double.  The moments are read by float();
+    no moments, or one that is not finite, is refused with DomainError, a
+    cumulant beyond the double range with OverflowGuard, before any higher one
+    is formed.  The work grows as len(moments)**2 on ever longer rationals.
     """
+    moments = _doubles(moments, "moments")
     if len(moments) < 1 or not all(map(math.isfinite, moments)):
         raise DomainError(f"need one or more finite factorial moments, got {moments!r}")
     from fractions import Fraction
@@ -137,8 +138,8 @@ def fit_moments(hist: CountHistogram, r: int) -> HermiteParams:
     on ever longer rationals.
     """
     r = _whole(r, "r", 1)
-    if r > 170:
-        raise OverflowGuard(f"the moment estimator runs to order 170, got order {r}")
+    if r > _MAX_EXACT_ORDER:
+        raise OverflowGuard(f"the moment estimator runs to order {_MAX_EXACT_ORDER}, got order {r}")
     kappa = list(_factorial_cumulants(list(_factorial_moments(hist, r))))
     if kappa[0] == 0:
         raise DataError("sample mean is zero; every observation is 0")
@@ -147,17 +148,6 @@ def fit_moments(hist: CountHistogram, r: int) -> HermiteParams:
         cancel = sum(math.perm(i, j) * a[i - 1] for i in range(j + 1, r + 1))
         a[j - 1] = max((kappa[j - 1] - cancel) / math.factorial(j), 0)
     return HermiteParams(tuple(_rounded(x, f"coefficient a_{j}") for j, x in enumerate(a, start=1)))
-
-
-def _check_tol(tol) -> float:
-    """``tol`` as a float; anything but a number in [0, inf) is refused with DomainError."""
-    try:
-        inside = 0.0 <= tol < math.inf
-    except (TypeError, ValueError):  # None, a string
-        inside = False
-    if not inside:
-        raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
-    return float(tol)
 
 
 def _onto_slice(y, mean: float) -> list[float]:
@@ -247,7 +237,7 @@ def mle_iterates(
     stall: no step alpha*g with alpha * max|g| > eps * max(a) raises the loglik.
     ``tol`` must be finite and >= 0; it and ``max_iter`` are checked at the call.
     """
-    return _iterates(hist, init, _check_tol(tol), _whole(max_iter, "max_iter", 0))
+    return _iterates(hist, init, _real(tol, "tol", "[0, inf)"), _whole(max_iter, "max_iter", 0))
 
 
 def _iterates(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: int):
@@ -334,7 +324,7 @@ def _ladder(hist: CountHistogram, r_max: int, tol: float, max_iter: int):
     slice, and since the line search accepts no decrease, the logliks never
     fall along the ladder.  ``tol`` and ``max_iter`` are checked once, here.
     """
-    tol, max_iter = _check_tol(tol), _whole(max_iter, "max_iter", 0)
+    tol, max_iter = _real(tol, "tol", "[0, inf)"), _whole(max_iter, "max_iter", 0)
     init = HermiteParams((hist.mean(),))
     for _ in range(r_max):
         fit = _ascend(hist, init, tol, max_iter)

@@ -35,19 +35,33 @@ def _sum_or_inf(terms) -> float:
 
 
 def _doubles(values, name: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, each entry read by float(); a str or
+    bytes, or anything else that is not a sequence of numbers, is refused
+    with DomainError naming ``name``."""
     try:
-        return tuple(map(float, values))
+        if not isinstance(values, (str, bytes)):  # float() would read their characters as entries
+            return tuple(map(float, values))
     except OverflowError:  # an integer beyond the double range
         raise DomainError(f"an entry of {name} is beyond the double range") from None
+    except (TypeError, ValueError):  # not iterable, or an entry float() refuses
+        pass
+    raise DomainError(f"{name} must be a sequence of real numbers, got {values!r}")
 
 
-def _real(value, name: str) -> float:
-    """float(value); a value float() refuses (None, a string that is not a
-    number, an int beyond the double range) is refused with DomainError naming ``name``."""
+def _real(value, name: str, interval: str = "(-inf, inf)") -> float:
+    """float(value) where that is a double in ``interval``, written as the
+    refusal prints it, such as "(0, 1]": a bracket is a closed end and a
+    parenthesis an open one.  Anything else (None, a string that is not a
+    number, NaN, an int beyond the double range, a value outside) is refused
+    with DomainError naming ``name``."""
+    lo, hi = map(float, interval[1:-1].split(","))
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+        x = math.nan
+    if not ((lo <= x if interval[0] == "[" else lo < x) and (x <= hi if interval[-1] == "]" else x < hi)):
+        raise DomainError(f"{name} must be a real number in {interval}, got {value!r}")
+    return x
 
 
 def _whole(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
@@ -150,9 +164,13 @@ class ThinningInvariants:
     eta: tuple[float, float, float]
 
 
+#: Highest order the exact conversions take: from order 171 on, r! and
+#: r!/(r-j)! for j >= r - 3 have no double.
+_MAX_EXACT_ORDER = 170
+
+
 def _check_convertible(r: int) -> None:
-    # From order 171 on, r! and r!/(r-j)! for j >= r - 3 have no double.
-    if r > 170:
+    if r > _MAX_EXACT_ORDER:
         raise OverflowGuard(f"factorial cumulants of order {r} leave the double range")
 
 
@@ -274,9 +292,7 @@ def pgf_eval(params: HermiteParams, t: float) -> float:
     Raises OverflowGuard where the value, or a power t**i on the way to it,
     leaves the double range.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t}")
+    t = _real(t, "t")
     try:
         value = math.exp(math.fsum(a_i * (t**i - 1.0) for i, a_i in enumerate(params.a, start=1)))
     except (OverflowError, ValueError):  # fsum raises ValueError on inf - inf
@@ -291,10 +307,7 @@ def hermite2_from_mean_variance(mean: float, variance: float) -> HermiteParams:
 
     Admissible iff mean > 0 and mean <= variance <= 2*mean.
     """
-    mean = float(mean)
-    variance = float(variance)
-    if not mean > 0.0:
-        raise DomainError(f"mean must be positive, got {mean}")
+    mean, variance = _real(mean, "mean", "(0, inf)"), _real(variance, "variance")
     if not (mean <= variance <= 2.0 * mean):
         raise DomainError(
             f"(mean, variance) = ({mean}, {variance}) violates mean <= variance <= 2*mean"

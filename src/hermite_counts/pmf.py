@@ -62,7 +62,10 @@ class PmfTable:
     def __post_init__(self) -> None:
         import numpy as np
 
-        p = np.asarray(self.probs, dtype=float)
+        try:
+            p = np.asarray(self.probs, dtype=float)
+        except (TypeError, ValueError):  # an entry float() refuses, such as "a"
+            raise DomainError("pmf table entries must be real numbers") from None
         if p.ndim != 1 or p.size < 1:
             raise DomainError("a pmf table needs a one-dimensional, non-empty vector")
         if not np.all(np.isfinite(p)):
@@ -191,9 +194,7 @@ def adaptive_pmf(params: HermiteParams, eps: float) -> PmfTable:
     """
     import numpy as np
 
-    eps = _real(eps, "eps")
-    if not (0.0 < eps < 1.0):
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    eps = _real(eps, "eps", "(0, 1)")
     mean = _sum_or_inf(i * c for i, c in enumerate(params.a, start=1))
     size = ADAPTIVE_START
     while True:

@@ -22,8 +22,7 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .model import hermite2_from_mean_variance
+from .model import _real, hermite2_from_mean_variance
 from .pmf import PmfTable, _check_k_max, pmf_table
 from .transform import _check_thinning_fraction, thin_pmf_oracle
 
@@ -39,9 +38,7 @@ def doubled_poisson_pmf(eta1: float, k_max: int) -> PmfTable:
     """
     import numpy as np
 
-    eta1 = float(eta1)
-    if not eta1 > 0.0:
-        raise DomainError(f"eta1 must be positive, got {eta1}")
+    eta1 = _real(eta1, "eta1", "(0, inf]")
     k_max = _check_k_max(k_max)
     lam = 1.0 / (2.0 * eta1)
     probs = np.zeros(k_max + 1)
@@ -66,12 +63,7 @@ def negative_binomial_pmf(mean: float, eta1: float, k_max: int) -> PmfTable:
     """
     import numpy as np
 
-    mean = float(mean)
-    eta1 = float(eta1)
-    if not mean > 0.0:
-        raise DomainError(f"mean must be positive, got {mean}")
-    if not eta1 > 0.0:
-        raise DomainError(f"eta1 must be positive, got {eta1}")
+    mean, eta1 = _real(mean, "mean", "(0, inf)"), _real(eta1, "eta1", "(0, inf)")
     k_max = _check_k_max(k_max)
     odds = mean * eta1
     ratio = odds / (1.0 + odds)
@@ -123,9 +115,7 @@ def alternating_geometric_pgf_values(p: float, t: float) -> tuple[float, float]:
     numerically thinned table; the pair should agree to ~1e-10.
     """
     p = _check_thinning_fraction(p)
-    t = float(t)
-    if not abs(t) <= 1.0:
-        raise DomainError(f"|t| must be <= 1, got {t}")
+    t = _real(t, "t", "[-1, 1]")
     s = 1.0 - p * (1.0 - t)
     closed = 6.0 / (21.0 - 7.0 * s * s) + 4.0 * s / (14.0 - 7.0 * s * s)
     base = _alternating_geometric_base()

@@ -39,8 +39,8 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, count
 
-from .errors import DataError, DomainError, OverflowGuard
-from .model import HermiteParams, _whole
+from .errors import DataError, OverflowGuard
+from .model import HermiteParams, _real, _whole
 from .transform import _check_thinning_fraction
 
 _MASK64 = (1 << 64) - 1
@@ -115,8 +115,7 @@ def _poisson_sampler(rate: float):
     """Check ``rate`` once; return draw(uniform) -> int, sample_poisson's
     method with its per-rate constants precomputed, reading its uniforms from
     calls to ``uniform()``."""
-    if rate < 0.0 or not math.isfinite(rate):
-        raise DomainError(f"Poisson rate must be finite and >= 0, got {rate}")
+    rate = _real(rate, "Poisson rate", "[0, inf)")
     if rate == 0.0:
         return lambda uniform: 0
     if rate <= _POISSON_INVERSION_MAX:
@@ -183,7 +182,7 @@ def sample_binomial(trials: int, p: float, rng: SplitMix64) -> int:
     realistic counts (an exact trial-by-trial fallback covers the rest).
     :func:`thin_sample` reproduces it in blocks.
     """
-    trials = _whole(trials, "trial count", 0)
+    trials, p = _whole(trials, "trial count", 0), _real(p, "p", "[0, 1]")
     if trials == 0 or p == 0.0:
         return 0
     if p == 1.0:

@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .data import CountHistogram
-from .errors import DomainError
 from .estimation import DEFAULT_MAX_ITER, DEFAULT_TOL, FitResult, _ladder
-from .model import _whole
+from .model import _real, _whole
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,9 +48,8 @@ class SelectionTrace:
 
 def lrt_statistic(loglik_full: float, loglik_null: float) -> float:
     """D = max(0, 2*(l_full - l_null)); tiny negatives are optimizer noise."""
-    if not (math.isfinite(loglik_full) and math.isfinite(loglik_null)):
-        raise DomainError("log-likelihoods must be finite")
-    return max(0.0, 2.0 * (loglik_full - loglik_null))
+    full, null = _real(loglik_full, "loglik_full"), _real(loglik_null, "loglik_null")
+    return max(0.0, 2.0 * (full - null))
 
 
 def lrt_pvalue(statistic: float) -> float:
@@ -60,8 +58,7 @@ def lrt_pvalue(statistic: float) -> float:
     Exactly zero hits the atom (p = 1); positive values get half the
     chi-square(1) survival function, erfc(sqrt(D/2))/2.
     """
-    if statistic < 0.0 or not math.isfinite(statistic):
-        raise DomainError(f"statistic must be finite and >= 0, got {statistic}")
+    statistic = _real(statistic, "statistic", "[0, inf)")
     if statistic == 0.0:
         return 1.0
     return 0.5 * math.erfc(math.sqrt(statistic / 2.0))
@@ -82,13 +79,7 @@ def select_order(
     first non-rejection (p >= alpha) or at ``r_max``.  The fits are those
     :func:`fit_mle` returns for the same orders; ``max_iter`` bounds each.
     """
-    r_max = _whole(r_max, "r_max", 1)
-    try:
-        inside = 0.0 < alpha < 1.0
-    except (TypeError, ValueError):  # None, a string
-        inside = False
-    if not inside:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    r_max, alpha = _whole(r_max, "r_max", 1), _real(alpha, "alpha", "(0, 1)")
 
     ladder = _ladder(hist, r_max, tol, max_iter)
     fits = [next(ladder)]

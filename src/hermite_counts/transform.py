@@ -22,10 +22,7 @@ ORACLE_MAX_LEN = 5001
 
 
 def _check_thinning_fraction(p: float) -> float:
-    p = _real(p, "thinning fraction p")
-    if not (0.0 < p <= 1.0):
-        raise DomainError(f"thinning fraction p must lie in (0, 1], got {p}")
-    return p
+    return _real(p, "thinning fraction p", "(0, 1]")
 
 
 def thin_params(params: HermiteParams, p: float) -> HermiteParams:

@@ -81,6 +81,16 @@ class TestCountHistogram:
         with pytest.raises(DataError):
             CountHistogram((entry,))
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: CountHistogram(((None, 1),)), lambda: CountHistogram.from_observations([1, None])],
+        ids=["bins", "observations"],
+    )
+    def test_entry_that_is_no_number_rejected(self, build):
+        # int(None) raised a bare TypeError
+        with pytest.raises(DataError, match="integers"):
+            build()
+
     def test_huge_count_rejected(self):
         with pytest.raises(DataError):
             CountHistogram.from_mapping({10**6 + 1: 1})
@@ -149,6 +159,12 @@ class TestFactorialMomentsToCumulants:
     def test_empty_or_non_finite_refused(self, moments):
         with pytest.raises(DomainError):
             factorial_moments_to_cumulants(moments)
+
+    def test_moments_are_read_by_float(self):
+        # both raised a bare TypeError
+        assert factorial_moments_to_cumulants(("2", np.float64(5.0))) == factorial_moments_to_cumulants((2.0, 5.0))
+        with pytest.raises(DomainError, match="^moments must be a sequence of real numbers"):
+            factorial_moments_to_cumulants(5)
 
     def test_each_cumulant_is_the_double_nearest_its_exact_value(self):
         # the doubles 0.1, 0.01 and 0.001 stand for rationals whose exact

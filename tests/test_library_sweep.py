@@ -42,12 +42,13 @@ iteration caps, trial counts, seeds and streams) is fed ints, bools, numpy
 integers and floats, whole and fractional floats, NaN, infinities, None,
 strings and ints outside its range.  A whole number in range must answer
 exactly as its int does; anything else must be refused with a DomainError
-naming the argument.  The real-valued arguments with a range (the level
-alpha, the tail eps, the thinning fraction p and the tolerance tol) must
-answer a numpy float or a Fraction as they answer the float, and refuse None,
-a string, a list and values outside the range with a DomainError naming them.
+naming the argument.  Every real-valued argument must answer a numpy float
+or a Fraction as it answers the float, and refuse None, a string, a list, NaN
+and values outside its interval with a DomainError naming it.  Both tables
+must name every argument annotated int or float in the public signatures.
 """
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -70,12 +71,16 @@ from hermite_counts import (
     SplitMix64,
     adaptive_pmf,
     add_params,
+    alternating_geometric_pgf_values,
     alternating_geometric_pmf,
     doubled_poisson_pmf,
     factorial_cumulants_to_params,
     factorial_moments_to_cumulants,
     fit_mle,
     fit_moments,
+    hermite2_from_mean_variance,
+    lrt_pvalue,
+    lrt_statistic,
     negative_binomial_pmf,
     ordinary_cumulants,
     params_to_factorial_cumulants,
@@ -339,6 +344,12 @@ INTEGER_ARGUMENTS = {
     "sample_factorial_moments": ("r", lambda v: sample_factorial_moments(HIST, v), 1, None),
     "select_order.r_max": ("r_max", lambda v: select_order(HIST, v, 0.5), 1, None),
     "select_order.max_iter": ("max_iter", lambda v: select_order(HIST, 2, 0.5, max_iter=v), 0, None),
+    "mle_iterates.max_iter": (
+        "max_iter",
+        lambda v: list(mle_iterates(HIST, HermiteParams((HIST.mean(), 0.0)), max_iter=v)),
+        0,
+        None,
+    ),
     "SelectionTrace.fit_for": ("order", TRACE.fit_for, 1, 2),
 }
 
@@ -406,8 +417,9 @@ def test_every_integer_argument_answers_as_its_int_or_is_refused(data, function)
         assert outcome(call, value) == outcome(call, n)
 
 
-#: Every real-valued argument with a range: its name in the error, a call
-#: that passes it, a value inside the range and values outside it.
+#: Every real-valued argument: its name in the error, a call that passes it,
+#: a value inside its interval and values outside it: NaN and the ends, or
+#: values beyond an end the interval holds.
 REAL_ARGUMENTS = {
     "select_order.alpha": ("alpha", lambda v: select_order(HIST, 2, v), 0.25, [0.0, 1.0, math.nan]),
     "adaptive_pmf.eps": ("eps", lambda v: adaptive_pmf(MODEL, v), 0.125, [0.0, 1.0, math.nan]),
@@ -426,6 +438,72 @@ REAL_ARGUMENTS = {
         0.0625,
         [-1.0, math.inf, math.nan],
     ),
+    "thin_factorial_cumulants.p": (
+        "thinning fraction p",
+        lambda v: thin_factorial_cumulants(FactorialCumulants((1.5, 0.5)), v),
+        0.5,
+        [0.0, 1.5, math.nan],
+    ),
+    "thin_sample.p": (
+        "thinning fraction p",
+        lambda v: thin_sample(SampleBatch((3, 70, 0), 0), v, 1),
+        0.5,
+        [0.0, 1.5, math.nan],
+    ),
+    "alternating_geometric_pmf.p": (
+        "thinning fraction p",
+        lambda v: alternating_geometric_pmf(v, 8),
+        0.5,
+        [0.0, 1.5, math.nan],
+    ),
+    "alternating_geometric_pgf_values.p": (
+        "thinning fraction p",
+        lambda v: alternating_geometric_pgf_values(v, 0.5),
+        0.5,
+        [0.0, 1.5, math.nan],
+    ),
+    "alternating_geometric_pgf_values.t": (
+        "t",
+        lambda v: alternating_geometric_pgf_values(0.5, v),
+        0.25,
+        [-1.5, 1.5, math.nan],
+    ),
+    "sample_binomial.p": ("p", lambda v: sample_binomial(70, v, SplitMix64(1)), 0.25, [-0.5, 1.5, math.nan]),
+    "sample_poisson.rate": (
+        "Poisson rate",
+        lambda v: sample_poisson(v, SplitMix64(1)),
+        2.5,
+        [-1.0, math.inf, math.nan],
+    ),
+    "pgf_eval.t": ("t", lambda v: pgf_eval(MODEL, v), 0.5, [-math.inf, math.inf, math.nan]),
+    "hermite2_from_mean_variance.mean": (
+        "mean",
+        lambda v: hermite2_from_mean_variance(v, 1.5),
+        1.0,
+        [0.0, math.inf, math.nan],
+    ),
+    "hermite2_from_mean_variance.variance": (
+        "variance",
+        lambda v: hermite2_from_mean_variance(1.0, v),
+        1.5,
+        [-math.inf, math.inf, math.nan],
+    ),
+    "doubled_poisson_pmf.eta1": ("eta1", lambda v: doubled_poisson_pmf(v, 8), 0.25, [0.0, -math.inf, math.nan]),
+    "negative_binomial_pmf.mean": ("mean", lambda v: negative_binomial_pmf(v, 0.5, 8), 2.0, [0.0, math.inf, math.nan]),
+    "negative_binomial_pmf.eta1": ("eta1", lambda v: negative_binomial_pmf(2.0, v, 8), 0.5, [0.0, math.inf, math.nan]),
+    "lrt_pvalue.statistic": ("statistic", lrt_pvalue, 2.5, [-1.0, math.inf, math.nan]),
+    "lrt_statistic.loglik_full": (
+        "loglik_full",
+        lambda v: lrt_statistic(v, -4.0),
+        -3.5,
+        [-math.inf, math.inf, math.nan],
+    ),
+    "lrt_statistic.loglik_null": (
+        "loglik_null",
+        lambda v: lrt_statistic(-3.5, v),
+        -4.0,
+        [-math.inf, math.inf, math.nan],
+    ),
 }
 
 
@@ -436,3 +514,39 @@ def test_real_argument_takes_any_real_number_and_refuses_the_rest(function):
     for value in [None, "x", [inside]] + outside:
         with pytest.raises(DomainError, match=f"^{name} must"):
             call(value)
+
+
+#: Result records: their fields hold what a computation returned, not arguments.
+RECORDS = {"CumulantSummary", "FitResult", "SampleBatch", "SelectionTrace"}
+
+
+def numeric_parameters():
+    """(key, parameter, annotation) for every parameter annotated int or float
+    of the public functions, constructors and methods, keyed as the tables are."""
+    import hermite_counts
+
+    where = [(name, getattr(hermite_counts, name)) for name in hermite_counts.__all__]
+    where += [("sample_binomial", sample_binomial), ("derive_seed", derive_seed), ("mle_iterates", mle_iterates)]
+    for name, obj in where:
+        if inspect.isclass(obj) and issubclass(obj, Exception):
+            continue
+        calls = [] if name in RECORDS else [(name, obj)]
+        if inspect.isclass(obj):
+            calls += [(f"{name}.{m}", f) for m, f in vars(obj).items() if inspect.isfunction(f) and m[0] != "_"]
+        for key, call in calls:
+            for p in inspect.signature(call).parameters.values():
+                if p.annotation in ("int", "float"):
+                    yield key, p.name, p.annotation
+
+
+def test_the_argument_tables_name_every_numeric_parameter():
+    found = list(numeric_parameters())
+    missing = []
+    for key, name, annotation in found:
+        table = REAL_ARGUMENTS if annotation == "float" else INTEGER_ARGUMENTS
+        # a bare key names the one parameter of its kind
+        alone = sum(k == key and a == annotation for k, _, a in found) == 1
+        if f"{key}.{name}" not in table and not (alone and key in table):
+            missing.append(f"{key}.{name}")
+    assert missing == []
+    assert len(found) == len(REAL_ARGUMENTS) + len(INTEGER_ARGUMENTS) == 23 + 20

@@ -58,6 +58,13 @@ class TestHermiteParams:
             HermiteParams(a)
         assert str(refused.value) == message
 
+    @pytest.mark.parametrize("cls", [HermiteParams, FactorialCumulants])
+    @pytest.mark.parametrize("entries", [(None,), "12", b"12", 5], ids=["none-entry", "str", "bytes", "int"])
+    def test_container_that_holds_no_numbers_refused(self, cls, entries):
+        # (None,) raised a bare TypeError, and "12" read as the entries (1.0, 2.0)
+        with pytest.raises(DomainError, match="must be a sequence of real numbers"):
+            cls(entries)
+
     def test_all_zero_is_legal_point_mass(self):
         params = HermiteParams((0.0, 0.0))
         assert params.is_degenerate()

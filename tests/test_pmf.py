@@ -92,6 +92,11 @@ class TestPmfTable:
         with pytest.raises(DomainError):
             PmfTable(np.array(probs))
 
+    def test_entry_that_is_no_number_rejected(self):
+        # np.asarray(["a"], dtype=float) raised a bare ValueError
+        with pytest.raises(DomainError, match="real numbers"):
+            PmfTable(["a"])
+
     def test_rate_where_exp_underflows_matches_poisson(self):
         # exp(-800) underflows; the oracle forms log p_k from math.lgamma instead.
         lam, k_max = 800.0, 1400

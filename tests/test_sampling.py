@@ -132,6 +132,12 @@ class TestSampleBinomial:
         with pytest.raises(DomainError):
             sample_binomial(-1, 0.5, SplitMix64(2))
 
+    @pytest.mark.parametrize("trials, p", [(10, 1.5), (100, -0.5), (10, math.nan)])
+    def test_probability_outside_the_unit_interval_rejected(self, trials, p):
+        # these returned 10, 0 and 0 with no error
+        with pytest.raises(DomainError, match=r"^p must be a real number in \[0, 1\]"):
+            sample_binomial(trials, p, SplitMix64(2))
+
     def test_complement_branch(self):
         rng = SplitMix64(4)
         draws = [sample_binomial(200, 0.97, rng) for _ in range(20_000)]
