@@ -197,7 +197,7 @@ def cmd_pmf(args: argparse.Namespace) -> int:
     else:
         table = adaptive_pmf(params, args.eps)
     print("k,p")
-    for k, pk in enumerate(table.probs.tolist()):
+    for k, pk in enumerate(table.entries):
         print(f"{k},{pk!r}")
     print(f"tail_mass,{table.tail_mass!r}")
     return EXIT_OK

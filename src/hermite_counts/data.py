@@ -27,23 +27,28 @@ class CountHistogram:
 
     def __post_init__(self) -> None:
         pairs = []
-        for count, freq in self.bins:
-            try:
-                integral = count == int(count) and freq == int(freq)
-            except (OverflowError, TypeError, ValueError):  # int() of inf, nan, None
-                integral = False
-            if not integral:
-                raise DataError("histogram entries must be integers")
-            count, freq = int(count), int(freq)
-            if count < 0:
-                raise DataError(f"negative count {count} in histogram")
-            if count > MAX_OBSERVED_COUNT:
-                raise DataError(f"count {count} exceeds the supported maximum {MAX_OBSERVED_COUNT}")
-            if freq <= 0:
-                raise DataError(f"frequency for count {count} must be positive, got {freq}")
-            if freq > sys.float_info.max:
-                raise DataError(f"frequency for count {count} exceeds the double range")
-            pairs.append((count, freq))
+        try:
+            for count, freq in self.bins:
+                try:
+                    integral = count == int(count) and freq == int(freq)
+                except (OverflowError, TypeError, ValueError):  # int() of inf, nan, None
+                    integral = False
+                if not integral:
+                    raise DataError("histogram entries must be integers")
+                count, freq = int(count), int(freq)
+                if count < 0:
+                    raise DataError(f"negative count {count} in histogram")
+                if count > MAX_OBSERVED_COUNT:
+                    raise DataError(f"count {count} exceeds the supported maximum {MAX_OBSERVED_COUNT}")
+                if freq <= 0:
+                    raise DataError(f"frequency for count {count} must be positive, got {freq}")
+                if freq > sys.float_info.max:
+                    raise DataError(f"frequency for count {count} exceeds the double range")
+                pairs.append((count, freq))
+        except DataError:  # a subclass of ValueError, raised above
+            raise
+        except (TypeError, ValueError):  # bins that are not an iterable of pairs
+            raise DataError("histogram bins must be (count, frequency) pairs") from None
         if not pairs:
             raise DataError("histogram is empty")
         # A larger total lets the likelihood's sum of freq * log p_k overflow.
@@ -58,11 +63,20 @@ class CountHistogram:
     @classmethod
     def from_observations(cls, values: Iterable[int]) -> "CountHistogram":
         """Aggregate raw observations into a histogram."""
-        return cls(tuple(Counter(values).items()))
+        try:
+            counted = Counter(values)
+        except TypeError:  # not iterable, or an unhashable observation
+            raise DataError("observations must be an iterable of integers") from None
+        return cls(tuple(counted.items()))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, int]) -> "CountHistogram":
-        return cls(tuple(mapping.items()))
+        try:
+            items = mapping.items()
+        except AttributeError:
+            kind = type(mapping).__name__
+            raise DataError(f"a histogram needs a mapping of count to frequency, got {kind}") from None
+        return cls(tuple(items))
 
     @property
     def n(self) -> int:

@@ -12,6 +12,10 @@ Orders up to four step through four locals, the coefficients padded with
 zeros, in the general loop's order of addition; both give the same bits.
 The public functions refuse a mean sum_i i*a_i of 2**400 or more with
 OverflowGuard, since a single step could then overflow the mantissas.
+
+Tables are tuples of floats, so ``pmf_table`` and ``adaptive_pmf`` never
+load numpy.  Only the array forms do: ``PmfTable.probs``, built on first
+access, and ``loglik_gradient``, whose result is an ndarray.
 """
 
 from __future__ import annotations
@@ -47,53 +51,97 @@ _MAX_MEAN = 2.0**400
 _LOCAL_ORDER = 4
 
 
+class _Probs:
+    """``PmfTable.probs``: the entries as a read-only float64 ndarray, built
+    on first access and kept.
+
+    The dataclass's generated ``__init__`` hands its argument to ``__set__``,
+    and ``__post_init__`` takes it from there.  Read on the class it raises
+    AttributeError, so the dataclass gives the field no default.
+    """
+
+    def __get__(self, table: PmfTable | None, owner: type | None = None) -> np.ndarray:
+        if table is None:
+            raise AttributeError("probs")
+        probs = table.__dict__.get("_probs")
+        if probs is None:
+            import numpy as np
+
+            probs = np.array(table.entries, dtype=float)
+            probs.flags.writeable = False
+            table.__dict__["_probs"] = probs
+        return probs
+
+    def __set__(self, table: PmfTable, probs: object) -> None:
+        table.__dict__["_probs"] = probs
+
+
 @dataclass(frozen=True, eq=False)
 class PmfTable:
     """Truncated probability vector p_0..p_K with its unaccounted tail mass.
 
-    ``probs`` is read-only; ``tail_mass`` is 1 - sum(probs) computed with
-    compensated summation at construction.  Identity semantics: compare
-    ``probs`` arrays directly when equality of content matters.
+    ``entries`` holds p_0..p_K as a tuple of floats.  ``probs`` is the same
+    vector as a read-only float64 ndarray, built the first time it is read,
+    so a table that is only printed or summed never loads numpy.
+    ``tail_mass`` is 1 - sum(entries) computed with compensated summation
+    at construction.  Identity semantics: compare ``entries`` directly when
+    equality of content matters.
     """
 
-    probs: np.ndarray
+    probs: np.ndarray = _Probs()
+    entries: tuple[float, ...] = field(init=False, repr=False)
     tail_mass: float = field(init=False)
 
     def __post_init__(self) -> None:
-        import numpy as np
-
-        try:
-            p = np.asarray(self.probs, dtype=float)
-        except (TypeError, ValueError):  # an entry float() refuses, such as "a"
-            raise DomainError("pmf table entries must be real numbers") from None
-        if p.ndim != 1 or p.size < 1:
+        entries = _as_entries(self.__dict__.pop("_probs"))
+        if not entries:
             raise DomainError("a pmf table needs a one-dimensional, non-empty vector")
-        if not np.all(np.isfinite(p)):
+        if not all(map(math.isfinite, entries)):
             raise DomainError("pmf table entries must be finite")
-        if np.any(p < 0.0):
+        if min(entries) < 0.0:
             raise DomainError("pmf table entries must be non-negative")
-        total = math.fsum(p.tolist())
+        total = math.fsum(entries)
         if total > 1.0 + 1e-12:
             raise DomainError(f"pmf table mass {total} exceeds 1")
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "tail_mass", 1.0 - total)
 
     @property
     def k_max(self) -> int:
-        return len(self.probs) - 1
+        return len(self.entries) - 1
 
     def __len__(self) -> int:
-        return len(self.probs)
+        return len(self.entries)
 
     def truncated_mean(self) -> float:
         """Mean of the tabulated part, sum_k k * p_k."""
-        return math.fsum(k * pk for k, pk in enumerate(self.probs.tolist()))
+        return math.fsum(k * pk for k, pk in enumerate(self.entries))
 
     def truncate(self, k_max: int) -> "PmfTable":
         """A copy cut off at ``k_max`` (tail mass grows accordingly)."""
-        return PmfTable(self.probs[: _check_k_max(k_max) + 1])
+        return PmfTable(self.entries[: _check_k_max(k_max) + 1])
+
+
+def _as_entries(values: object) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, read as ``numpy.asarray(values, dtype=float)`` reads them.
+
+    A list or tuple of ints and floats is read in pure Python.  Any other
+    input goes through numpy, so nested, ragged, 0-d and other inputs meet
+    numpy's rules and get the same refusals.
+    """
+    try:
+        if isinstance(values, (list, tuple)) and all(isinstance(x, (int, float)) for x in values):
+            return tuple(map(float, values))
+        import numpy as np
+
+        p = np.asarray(values, dtype=float)
+    except OverflowError:  # an int beyond the double range
+        raise DomainError("pmf table entries must be finite") from None
+    except (TypeError, ValueError):  # an entry float() refuses, such as "a"
+        raise DomainError("pmf table entries must be real numbers") from None
+    if p.ndim != 1:
+        raise DomainError("a pmf table needs a one-dimensional, non-empty vector")
+    return tuple(p.tolist())
 
 
 def _check_k_max(k_max: int) -> int:
@@ -173,11 +221,10 @@ def _guarded(params: HermiteParams) -> tuple[float, ...]:
 
 def pmf_table(params: HermiteParams, k_max: int) -> PmfTable:
     """Exact probabilities p_0..p_{k_max} by the recurrence above."""
-    import numpy as np
-
     m, e = _scaled_pmf(_guarded(params), _check_k_max(k_max))
-    # Any exponent below -2000 underflows; clipping keeps them all in int64.
-    return PmfTable(np.ldexp(m, np.maximum(np.array(e, dtype=float), -2000.0).astype(np.int64)))
+    # Any exponent below -2000 underflows, so it is clamped there.
+    ldexp = math.ldexp
+    return PmfTable([ldexp(mk, max(ek, -2000)) for mk, ek in zip(m, e)])
 
 
 def adaptive_pmf(params: HermiteParams, eps: float) -> PmfTable:
@@ -192,8 +239,6 @@ def adaptive_pmf(params: HermiteParams, eps: float) -> PmfTable:
     the ``order`` before it, so it rounds to zero too and no longer table
     holds more mass.
     """
-    import numpy as np
-
     eps = _real(eps, "eps", "(0, 1)")
     mean = _sum_or_inf(i * c for i, c in enumerate(params.a, start=1))
     size = ADAPTIVE_START
@@ -204,14 +249,14 @@ def adaptive_pmf(params: HermiteParams, eps: float) -> PmfTable:
             # Estimated tail after each index (entries summed from the small
             # end); the fsum-based tail_mass of the cut decides the last ulp,
             # and it can sit on either side of the estimate.
-            beyond = np.append(np.cumsum(table.probs[:0:-1])[::-1], 0.0)
-            k = int(np.argmax(table.tail_mass + beyond < eps))
+            beyond = [*accumulate(reversed(table.entries[1:]))][::-1] + [0.0]
+            k = next(k for k, rest in enumerate(beyond) if table.tail_mass + rest < eps)
             while k > 0 and table.truncate(k - 1).tail_mass < eps:
                 k -= 1
             while (cut := table.truncate(k)).tail_mass >= eps:
                 k += 1
             return cut
-        if len(table) >= 2.0 * mean and not table.probs[-params.order :].any():
+        if len(table) >= 2.0 * mean and not any(table.entries[-params.order :]):
             raise DomainError(
                 f"eps = {eps!r} is below the rounding floor of this law's tail mass,"
                 f" which stays at {table.tail_mass!r}"

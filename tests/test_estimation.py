@@ -91,6 +91,22 @@ class TestCountHistogram:
         with pytest.raises(DataError, match="integers"):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CountHistogram((5,)),
+            lambda: CountHistogram(((1, 2, 3),)),
+            lambda: CountHistogram(None),
+            lambda: CountHistogram.from_mapping(5),
+            lambda: CountHistogram.from_observations(5),
+        ],
+        ids=["bin-not-a-pair", "bin-of-three", "none", "mapping-not-a-mapping", "observations-not-iterable"],
+    )
+    def test_malformed_container_rejected(self, build):
+        # these raised a bare TypeError, ValueError or AttributeError
+        with pytest.raises(DataError):
+            build()
+
     def test_huge_count_rejected(self):
         with pytest.raises(DataError):
             CountHistogram.from_mapping({10**6 + 1: 1})

@@ -123,6 +123,17 @@ small_histograms = st.dictionaries(st.integers(0, 12), st.integers(1, 10**6), mi
     CountHistogram.from_mapping
 )
 
+# Nested containers of numbers, None and short strings: malformed histogram input.
+containers = st.recursive(
+    st.one_of(st.none(), st.integers(-2, 5), st.floats(), st.text(max_size=2)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(st.integers(-2, 5), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+
 #: Largest sample total thinned against the scalar oracle.
 THINNED_TOTAL = 20_000
 
@@ -231,6 +242,16 @@ def test_moment_estimator_answers_or_raises_a_hermite_error(hist, r, moments):
         try:
             call()
         except HermiteError:
+            pass
+
+
+@settings(max_examples=100)
+@given(container=containers)
+def test_histogram_constructors_answer_or_raise_a_data_error(container):
+    for build in (CountHistogram, CountHistogram.from_mapping, CountHistogram.from_observations):
+        try:
+            build(container)
+        except DataError:
             pass
 
 

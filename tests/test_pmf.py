@@ -22,6 +22,24 @@ from hermite_counts import (
 from conftest import poisson_table_exact, random_params, scaled_poisson_convolution
 
 
+def array_constructor_refusal(values):
+    """The message PmfTable refused ``values`` with when it validated an ndarray, or None."""
+    try:
+        p = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        return "pmf table entries must be real numbers"
+    if p.ndim != 1 or p.size < 1:
+        return "a pmf table needs a one-dimensional, non-empty vector"
+    if not np.all(np.isfinite(p)):
+        return "pmf table entries must be finite"
+    if np.any(p < 0.0):
+        return "pmf table entries must be non-negative"
+    total = math.fsum(p.tolist())
+    if total > 1.0 + 1e-12:
+        return f"pmf table mass {total} exceeds 1"
+    return None
+
+
 class TestPmfTable:
     def test_poisson_two(self):
         table = pmf_table(HermiteParams((2.0,)), 3)
@@ -96,6 +114,61 @@ class TestPmfTable:
         # np.asarray(["a"], dtype=float) raised a bare ValueError
         with pytest.raises(DomainError, match="real numbers"):
             PmfTable(["a"])
+
+    def test_probs_is_a_read_only_float64_array_of_the_entries_built_once(self):
+        table = pmf_table(HermiteParams((1.0, 0.5)), 12)
+        assert all(type(pk) is float for pk in table.entries)
+        probs = table.probs
+        assert type(probs) is np.ndarray and probs.dtype == np.float64 and probs.shape == (13,)
+        assert probs.tolist() == list(table.entries)
+        assert not probs.flags.writeable
+        with pytest.raises(ValueError):
+            probs[0] = 0.5
+        assert table.probs is probs
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param([], id="empty"),
+            pytest.param(np.array([]), id="empty-array"),
+            pytest.param([[0.5, 0.5]], id="two-dimensional"),
+            pytest.param(np.array([[0.5, 0.5]]), id="two-dimensional-array"),
+            pytest.param(0.5, id="zero-dimensional"),
+            pytest.param(np.array(0.5), id="zero-dimensional-array"),
+            pytest.param("0.5", id="zero-dimensional-string"),
+            pytest.param([[0.5], [0.5, 0.2]], id="ragged"),
+            pytest.param([0.5, math.nan], id="nan"),
+            pytest.param(np.array([0.5, math.nan]), id="nan-array"),
+            pytest.param((0.5, math.inf), id="inf"),
+            pytest.param([0.5, None], id="none"),
+            pytest.param([1.2, -0.2], id="negative"),
+            pytest.param(np.array([1.2, -0.2]), id="negative-array"),
+            pytest.param((0.7, 0.4), id="mass-above-one"),
+            pytest.param(np.array([0.7, 0.4]), id="mass-above-one-array"),
+            pytest.param(["a"], id="no-number"),
+            pytest.param([0.5, 1j], id="complex"),
+            pytest.param((x for x in [0.5]), id="generator"),
+            pytest.param({0.5}, id="set"),
+        ],
+    )
+    def test_refusals_are_those_of_the_array_constructor(self, values):
+        want = array_constructor_refusal(values)
+        assert want is not None
+        with pytest.raises(DomainError) as refused:
+            PmfTable(values)
+        assert str(refused.value) == want
+
+    @pytest.mark.parametrize(
+        "values", [[0.25, 0], (True, False), ["0.25", "0.5"], [np.float64(0.5)], [np.array(0.25)], np.arange(3) / 4]
+    )
+    def test_accepted_inputs_read_as_the_array_constructor_reads_them(self, values):
+        assert array_constructor_refusal(values) is None
+        assert PmfTable(values).entries == tuple(np.asarray(values, dtype=float).tolist())
+
+    def test_int_beyond_the_double_range_refused(self):
+        # float() and numpy both raised a bare OverflowError
+        with pytest.raises(DomainError, match="finite"):
+            PmfTable([10**400])
 
     def test_rate_where_exp_underflows_matches_poisson(self):
         # exp(-800) underflows; the oracle forms log p_k from math.lgamma instead.

@@ -9,6 +9,7 @@ from hermite_counts import (
     DataError,
     DomainError,
     HermiteParams,
+    OverflowGuard,
     fit_mle,
     lrt_pvalue,
     lrt_statistic,
@@ -31,6 +32,14 @@ class TestLrtStatistic:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             lrt_statistic(float("-inf"), -1.0)
+
+    def test_overflowing_statistic_raises_overflow_guard(self):
+        # 2*(1e308 + 4) was returned as inf, which lrt_pvalue then refused
+        with pytest.raises(OverflowGuard, match=r"loglik_full = 1e\+308, loglik_null = -4\.0"):
+            lrt_statistic(1e308, -4.0)
+        with pytest.raises(OverflowGuard, match=r"loglik_full = -3\.5, loglik_null = -1e\+308"):
+            lrt_statistic(-3.5, -1e308)
+        assert lrt_statistic(4e307, -4e307) == 1.6e308
 
     def test_nested_fits_never_meaningfully_negative(self, np_rng):
         # the order-(r+1) feasible set contains the order-r one

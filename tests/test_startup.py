@@ -2,10 +2,10 @@
 
 Each check runs in a fresh interpreter with ``PYTHONPATH=src``.  Importing
 the package and the CLI, and running ``fit`` (both methods), ``select``,
-``convert`` and ``thin``, must leave numpy unloaded.  The commands that do
-use it (``pmf``, ``sample`` in both regimes and with ``--thin``, and
-``verify``), run first in a fresh interpreter, must print exactly the
-stdout pinned below.
+``convert``, ``thin``, ``pmf`` (both modes) and ``verify``, must leave numpy
+unloaded.  ``sample`` (both regimes and with ``--thin``) uses it; it and the
+``pmf`` and ``verify`` commands, run first in a fresh interpreter, must
+print exactly the stdout pinned below.
 """
 
 import hashlib
@@ -86,6 +86,9 @@ def test_numpy_free_commands_never_load_numpy(tmp_path):
         ["convert", model, "--to", "params"],
         ["convert", model, "--to", "summary"],
         ["thin", model, "--p", "0.5"],
+        ["pmf", model, "--eps", "1e-12"],
+        ["pmf", model, "--k-max", "40"],
+        ["verify"],
     ]
     proc = fresh_python("-c", NUMPY_FREE_SESSION, json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr.decode()
@@ -95,7 +98,7 @@ def test_numpy_free_commands_never_load_numpy(tmp_path):
 
 
 @pytest.mark.parametrize("case", sorted(FIRST_CALL_STDOUT))
-def test_numpy_commands_called_first_print_the_pinned_stdout(tmp_path, case):
+def test_commands_called_first_print_the_pinned_stdout(tmp_path, case):
     model, options, digest = FIRST_CALL_STDOUT[case]
     command = case.split("-")[0]
     argv = [command] + ([str(write_models(tmp_path)[model])] if model else []) + options
