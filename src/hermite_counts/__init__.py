@@ -8,97 +8,75 @@ thinning and convolution in parameter space with distribution-level
 oracles, reproducible sampling, maximum-likelihood fitting, and order
 selection with the boundary-corrected likelihood-ratio test.
 
-numpy is imported only inside the functions that use it, so importing the
-package, fitting and selecting start without it.
+Importing the package loads none of its modules: each public name, and each
+module named in ``_NAMES``, is imported on first access (PEP 562), so a
+command line child loads only the modules its command uses.  numpy is
+likewise imported only inside the functions that use it.
 """
 
-from .data import CountHistogram
-from .errors import DataError, DomainError, HermiteError, IterationCap, OverflowGuard
-from .estimation import (
-    FitResult,
-    factorial_moments_to_cumulants,
-    fit_mle,
-    fit_moments,
-    sample_factorial_moments,
-)
-from .model import (
-    CumulantSummary,
-    FactorialCumulants,
-    HermiteParams,
-    ThinningInvariants,
-    factorial_cumulants_to_params,
-    hermite2_from_mean_variance,
-    ordinary_cumulants,
-    params_to_factorial_cumulants,
-    pgf_eval,
-    thinning_invariants,
-)
-from .pmf import PmfTable, adaptive_pmf, log_likelihood, loglik_gradient, pmf_table
-from .reference import (
-    alternating_geometric_pgf_values,
-    alternating_geometric_pmf,
-    doubled_poisson_pmf,
-    has_zero_gap,
-    negative_binomial_pmf,
-    run_verification,
-)
-from .sampling import SampleBatch, SplitMix64, sample_hermite, sample_poisson, thin_sample
-from .selection import SelectionTrace, lrt_pvalue, lrt_statistic, select_order
-from .transform import (
-    add_params,
-    convolve_pmf_oracle,
-    thin_factorial_cumulants,
-    thin_params,
-    thin_pmf_oracle,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CountHistogram",
-    "CumulantSummary",
-    "DataError",
-    "DomainError",
-    "FactorialCumulants",
-    "FitResult",
-    "HermiteError",
-    "HermiteParams",
-    "IterationCap",
-    "OverflowGuard",
-    "PmfTable",
-    "SampleBatch",
-    "SelectionTrace",
-    "SplitMix64",
-    "ThinningInvariants",
-    "adaptive_pmf",
-    "add_params",
-    "alternating_geometric_pgf_values",
-    "alternating_geometric_pmf",
-    "convolve_pmf_oracle",
-    "doubled_poisson_pmf",
-    "factorial_cumulants_to_params",
-    "factorial_moments_to_cumulants",
-    "fit_mle",
-    "fit_moments",
-    "has_zero_gap",
-    "hermite2_from_mean_variance",
-    "log_likelihood",
-    "loglik_gradient",
-    "lrt_pvalue",
-    "lrt_statistic",
-    "negative_binomial_pmf",
-    "ordinary_cumulants",
-    "params_to_factorial_cumulants",
-    "pgf_eval",
-    "pmf_table",
-    "run_verification",
-    "sample_factorial_moments",
-    "sample_hermite",
-    "sample_poisson",
-    "select_order",
-    "thin_factorial_cumulants",
-    "thin_params",
-    "thin_pmf_oracle",
-    "thin_sample",
-    "thinning_invariants",
-]
+#: The public names, by the module that defines them.
+_NAMES = {
+    "data": ("CountHistogram",),
+    "errors": ("DataError", "DomainError", "HermiteError", "IterationCap", "OverflowGuard"),
+    "estimation": (
+        "FitResult",
+        "factorial_moments_to_cumulants",
+        "fit_mle",
+        "fit_moments",
+        "sample_factorial_moments",
+    ),
+    "model": (
+        "CumulantSummary",
+        "FactorialCumulants",
+        "HermiteParams",
+        "ThinningInvariants",
+        "factorial_cumulants_to_params",
+        "hermite2_from_mean_variance",
+        "ordinary_cumulants",
+        "params_to_factorial_cumulants",
+        "pgf_eval",
+        "thinning_invariants",
+    ),
+    "pmf": ("PmfTable", "adaptive_pmf", "log_likelihood", "loglik_gradient", "pmf_table"),
+    "reference": (
+        "alternating_geometric_pgf_values",
+        "alternating_geometric_pmf",
+        "doubled_poisson_pmf",
+        "has_zero_gap",
+        "negative_binomial_pmf",
+        "run_verification",
+    ),
+    "sampling": ("SampleBatch", "SplitMix64", "sample_hermite", "sample_poisson", "thin_sample"),
+    "selection": ("SelectionTrace", "lrt_pvalue", "lrt_statistic", "select_order"),
+    "transform": (
+        "add_params",
+        "convolve_pmf_oracle",
+        "thin_factorial_cumulants",
+        "thin_params",
+        "thin_pmf_oracle",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    """Import the module behind ``name`` on first access; keep public names
+    in the package namespace, so later lookups do not come back here."""
+    if name in _NAMES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

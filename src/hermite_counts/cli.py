@@ -18,6 +18,9 @@ The bulk paths hold a block at a time, so their memory does not grow with
 the data: ``sample`` checks every input before it writes a byte, then
 draws, thins and writes ``sampling._BLOCK`` values at a time, and count
 files are read ``_READ_LINES`` lines at a time.
+
+Each command imports the package modules it uses when it runs, so a
+command line process loads only those.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from pathlib import Path
 
 from .data import CountHistogram
 from .errors import DataError, HermiteError
-from .estimation import FitResult, fit_mle, fit_moments
 from .model import (
     FactorialCumulants,
     HermiteParams,
@@ -42,11 +44,6 @@ from .model import (
     factorial_cumulants_to_params,
     params_to_factorial_cumulants,
 )
-from .pmf import adaptive_pmf, log_likelihood, pmf_table
-from .reference import run_verification
-from .sampling import _hermite_blocks, _thin_blocks, derive_seed
-from .selection import select_order
-from .transform import thin_params
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -191,6 +188,8 @@ def _fit_fields(res: FitResult) -> dict:
 
 
 def cmd_pmf(args: argparse.Namespace) -> int:
+    from .pmf import adaptive_pmf, pmf_table
+
     params = _params_from_model_file(args.model)
     if args.k_max is not None:
         table = pmf_table(params, args.k_max)
@@ -204,6 +203,9 @@ def cmd_pmf(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from .estimation import fit_mle, fit_moments
+    from .pmf import log_likelihood
+
     hist = _read_count_data(args.data)
     provenance = _provenance(args, args.data)
     if args.method == "moments":
@@ -222,6 +224,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
+    from .selection import select_order
+
     hist = _read_count_data(args.data)
     trace = select_order(hist, args.r_max, args.alpha)
     doc = {
@@ -247,6 +251,8 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    from .sampling import _hermite_blocks, _thin_blocks, derive_seed
+
     params = _params_from_model_file(args.model)
     blocks = _hermite_blocks(params, args.n, args.seed)
     if args.thin is not None:
@@ -257,6 +263,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_thin(args: argparse.Namespace) -> int:
+    from .transform import thin_params
+
     params = _params_from_model_file(args.model)
     thinned = thin_params(params, args.p)
     _emit(_model_doc(thinned, _provenance(args, args.model)))
@@ -289,6 +297,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .reference import run_verification
+
     checks = run_verification()
     for check in checks:
         status = "PASS" if check.passed else "FAIL"

@@ -64,6 +64,10 @@ def _real(value, name: str, interval: str = "(-inf, inf)") -> float:
     return x
 
 
+def _check_thinning_fraction(p: float) -> float:
+    return _real(p, "thinning fraction p", "(0, 1]")
+
+
 def _whole(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
     """``value`` as an int: an int, a bool, a numpy integer, or a real number
     with no fractional part (3.0, numpy's too), in [lo, hi], where a bound given

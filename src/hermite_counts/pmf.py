@@ -25,7 +25,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .data import CountHistogram
 from .errors import DomainError, IterationCap, OverflowGuard
 from .model import HermiteParams, _real, _sum_or_inf, _whole
 

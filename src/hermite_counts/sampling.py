@@ -26,7 +26,8 @@ of ``sample_hermite`` inverts, draw d's component c reads uniform d*r + c (r
 the number of a_i > 0), and a block is one array of uniforms searched in
 each component's cdf.  A rejection attempt uses one or two uniforms, so a
 model with a component above 30 is drawn one draw at a time, reading the
-uniforms of each block in the order above.  The thinning layout is fixed by
+uniforms of each block in the order above; its components at rates up to 30
+still search their cdfs, by bisection.  The thinning layout is fixed by
 the counts alone, so ``thin_sample`` works on whole blocks of uniforms.
 ``sample_poisson`` and ``sample_binomial``, drawing from one SplitMix64,
 are the scalar definitions the two reproduce bit for bit.
@@ -35,13 +36,13 @@ are the scalar definitions the two reproduce bit for bit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, count
 
 from .errors import DataError, OverflowGuard
-from .model import HermiteParams, _real, _whole
-from .transform import _check_thinning_fraction
+from .model import HermiteParams, _check_thinning_fraction, _real, _whole
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -208,12 +209,10 @@ def sample_binomial(trials: int, p: float, rng: SplitMix64) -> int:
     return trials - k if flip else k
 
 
-def _inversion_cdf(rate: float) -> np.ndarray:
+def _inversion_cdf(rate: float) -> list[float]:
     """sample_poisson's running cdf at 0 < ``rate`` <= 30, accumulated in its
     order, through the entry where the term underflows to 0.  Its search
-    returns min(searchsorted(cdf, u, "right"), len(cdf) - 1)."""
-    import numpy as np
-
+    returns min(bisect_right(cdf, u), len(cdf) - 1)."""
     term = cum = math.exp(-rate)
     cdf = [cum]
     k = 0
@@ -222,7 +221,13 @@ def _inversion_cdf(rate: float) -> np.ndarray:
         term *= rate / k
         cum += term
         cdf.append(cum)
-    return np.array(cdf)
+    return cdf
+
+
+def _cdf_search(cdf: list[float]) -> Callable[[Callable[[], float]], int]:
+    """draw(uniform) -> int: one uniform searched in the _inversion_cdf ``cdf``."""
+    top = len(cdf) - 1
+    return lambda uniform: min(bisect_right(cdf, uniform()), top)
 
 
 def _hermite_blocks(params: HermiteParams, n: int, seed: int) -> Iterator[list[int]]:
@@ -239,7 +244,10 @@ def _hermite_blocks(params: HermiteParams, n: int, seed: int) -> Iterator[list[i
     seed = _seed(seed)  # np.uint64 refuses a negative seed
     active = [(i, rate) for i, rate in enumerate(params.a, start=1) if rate > 0.0]
     if any(rate > _POISSON_INVERSION_MAX for _, rate in active):
-        draws = [(i, _poisson_sampler(rate)) for i, rate in active]
+        draws = [
+            (i, _cdf_search(_inversion_cdf(rate)) if rate <= _POISSON_INVERSION_MAX else _poisson_sampler(rate))
+            for i, rate in active
+        ]
         uniform = _uniform_stream(seed)
 
         def block(lo: int, m: int) -> list[int]:
@@ -253,7 +261,7 @@ def _hermite_blocks(params: HermiteParams, n: int, seed: int) -> Iterator[list[i
 
     else:
         r = len(active)
-        cdfs = [(i, _inversion_cdf(rate)) for i, rate in active]
+        cdfs = [(i, np.array(_inversion_cdf(rate))) for i, rate in active]
 
         def block(lo: int, m: int) -> list[int]:
             # draw d's component c reads uniform d*r + c

@@ -17,16 +17,12 @@ Nothing on the command line calls it, so ``verify`` never loads numpy.
 from __future__ import annotations
 
 from .errors import DomainError
-from .model import FactorialCumulants, HermiteParams, _real
+from .model import FactorialCumulants, HermiteParams, _check_thinning_fraction
 from .pmf import PmfTable
 
 #: Tables longer than this are refused by the thinning oracle (it is
 #: quadratic in the length and intended for verification work only).
 ORACLE_MAX_LEN = 5001
-
-
-def _check_thinning_fraction(p: float) -> float:
-    return _real(p, "thinning fraction p", "(0, 1]")
 
 
 def thin_params(params: HermiteParams, p: float) -> HermiteParams:

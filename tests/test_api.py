@@ -1,6 +1,11 @@
 """The public API: growing or shrinking it must show up as an edit here."""
 
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hermite_counts
 
@@ -133,3 +138,47 @@ def signature(obj):
 
 def test_signatures_are_pinned():
     assert {name: signature(getattr(hermite_counts, name)) for name in hermite_counts.__all__} == SIGNATURES
+
+
+#: The package's modules that resolve as its attributes, such as
+#: ``hermite_counts.sampling``, without an import of their own.
+SUBMODULES = ["data", "errors", "estimation", "model", "pmf", "reference", "sampling", "selection", "transform"]
+
+#: Run in a fresh interpreter, where no name has been looked up yet: checks
+#: the lazily filled package namespace and prints what it found as JSON.
+LAZY_NAMESPACE = """
+import json, sys
+import hermite_counts as hc
+facts = {"missing from dir": sorted(set(hc.__all__) - set(dir(hc)))}
+facts["not their module's object"] = [
+    name for name in hc.__all__
+    if getattr(sys.modules[getattr(hc, name).__module__], name) is not getattr(hc, name)
+]
+facts["submodules"] = [
+    name for name in json.loads(sys.argv[1]) if getattr(hc, name) is sys.modules["hermite_counts." + name]
+]
+try:
+    hc.no_such_name
+    facts["unknown name"] = "resolved"
+except AttributeError:
+    facts["unknown name"] = "AttributeError"
+namespace = {}
+exec("from hermite_counts import *", namespace)
+facts["star import"] = sorted(set(namespace) - {"__builtins__"})
+print(json.dumps(facts))
+"""
+
+
+def test_lazy_namespace_resolves_every_public_name():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_NAMESPACE, json.dumps(SUBMODULES)], capture_output=True, env=env, check=False
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == {
+        "missing from dir": [],
+        "not their module's object": [],
+        "submodules": SUBMODULES,
+        "unknown name": "AttributeError",
+        "star import": PUBLIC_NAMES,
+    }

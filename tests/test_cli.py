@@ -193,13 +193,14 @@ class TestFitCommand:
     def test_nonconvergence_exits_four_but_emits(self, tmp_path, capsys, monkeypatch):
         import dataclasses
 
-        import hermite_counts.cli as cli_mod
+        import hermite_counts.estimation as estimation
         from hermite_counts import fit_mle
 
         def unconverged_fit(hist, r, **kwargs):
             return dataclasses.replace(fit_mle(hist, r, **kwargs), converged=False)
 
-        monkeypatch.setattr(cli_mod, "fit_mle", unconverged_fit)
+        # cmd_fit imports fit_mle from its module each time it runs
+        monkeypatch.setattr(estimation, "fit_mle", unconverged_fit)
         data = tmp_path / "counts.txt"
         data.write_text("0\n1\n2\n2\n3\n")
         code, out, _ = run_cli(capsys, "fit", str(data), "--order", "2")

@@ -20,7 +20,7 @@ from hermite_counts import (
     run_verification,
     thin_pmf_oracle,
 )
-from hermite_counts.reference import _alternating_geometric_base
+from hermite_counts.reference import _NEGATIVE_BINOMIAL_LAWS, _alternating_geometric_base
 
 from conftest import poisson_table_exact
 
@@ -99,6 +99,12 @@ class TestNegativeBinomial:
         # 1/eta1 overflows to inf here; the table must still be Poisson(mean)
         table = negative_binomial_pmf(mu, eta1, 30)
         np.testing.assert_allclose(table.probs, poisson_table_exact(mu, 30), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("mu, eta1", _NEGATIVE_BINOMIAL_LAWS)
+    def test_verify_tables_leave_a_negligible_tail(self, mu, eta1):
+        # verify tabulates these laws to entry 120: the mass beyond is < 1e-30
+        entries = negative_binomial_pmf(mu, eta1, 2000).entries
+        assert math.fsum(entries[121:]) < 1e-30
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):

@@ -1,11 +1,13 @@
-"""Start-up: numpy is imported only inside the functions that use it.
+"""Start-up: each command loads only the modules it uses.
 
 Each check runs in a fresh interpreter with ``PYTHONPATH=src``.  Importing
-the package and the CLI, and running ``fit`` (both methods), ``select``,
-``convert``, ``thin``, ``pmf`` (both modes) and ``verify``, must leave numpy
-unloaded.  ``sample`` (both regimes and with ``--thin``) uses it; it and the
-``pmf`` and ``verify`` commands, run first in a fresh interpreter, must
-print exactly the stdout pinned below.
+the package loads none of its modules, and each command loads exactly the
+package modules pinned below.  numpy is imported only inside the functions
+that use it: importing the package and the CLI, and running ``fit`` (both
+methods), ``select``, ``convert``, ``thin``, ``pmf`` (both modes) and
+``verify``, must leave it unloaded.  ``sample`` (both regimes and with
+``--thin``) uses it; it and the ``pmf`` and ``verify`` commands, run first
+in a fresh interpreter, must print exactly the stdout pinned below.
 """
 
 import hashlib
@@ -105,3 +107,47 @@ def test_commands_called_first_print_the_pinned_stdout(tmp_path, case):
     proc = fresh_python("-m", "hermite_counts", *argv)
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+#: Imports the package, then runs the command line in argv[1:], if any, with
+#: its stdout discarded; prints its exit code and the sorted names of the
+#: package's modules then loaded, without the "hermite_counts." prefix.
+MODULES_SESSION = """
+import contextlib, io, json, sys
+import hermite_counts
+code = 0
+if sys.argv[1:]:
+    from hermite_counts import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m[15:] for m in sys.modules if m.startswith("hermite_counts."))]))
+"""
+
+#: The command line of each case ("{inversion}", "{rejection}" and "{counts}"
+#: stand for its input files) and the package modules loaded once it has run.
+MODULES_LOADED = {
+    "import hermite_counts": ("", ""),
+    "sample": ("sample {inversion} --n 100 --seed 1", "cli data errors model sampling"),
+    "sample-rejection": ("sample {rejection} --n 100 --seed 1", "cli data errors model sampling"),
+    "sample-thin": ("sample {rejection} --n 100 --seed 1 --thin 0.5", "cli data errors model sampling"),
+    "fit": ("fit {counts} --order 2", "cli data errors estimation model pmf"),
+    "fit-moments": ("fit {counts} --order 2 --method moments", "cli data errors estimation model pmf"),
+    "select": ("select {counts} --r-max 3", "cli data errors estimation model pmf selection"),
+    "pmf": ("pmf {inversion} --eps 1e-12", "cli data errors model pmf"),
+    "pmf-k-max": ("pmf {inversion} --k-max 40", "cli data errors model pmf"),
+    "convert": ("convert {inversion} --to summary", "cli data errors model"),
+    "thin": ("thin {inversion} --p 0.5", "cli data errors model pmf transform"),
+    "verify": ("verify", "cli data errors model pmf reference transform"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODULES_LOADED))
+def test_each_command_loads_only_its_modules(tmp_path, case):
+    command_line, modules = MODULES_LOADED[case]
+    counts = tmp_path / "counts.txt"
+    counts.write_text("\n".join(map(str, [0, 1, 2, 0, 3, 1, 4, 2, 0, 6] * 5)) + "\n")
+    files = {name: str(path) for name, path in write_models(tmp_path).items()}
+    argv = [arg.format(counts=counts, **files) for arg in command_line.split()]
+    proc = fresh_python("-c", MODULES_SESSION, *argv)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == [0, modules.split()]
