@@ -258,7 +258,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.thin is not None:
         blocks = _thin_blocks(blocks, args.thin, derive_seed(args.seed, 1))
     for block in blocks:
-        sys.stdout.write("\n".join(map(str, block)) + "\n")
+        # int64 arrays, or lists once thinned
+        values = block if isinstance(block, list) else block.tolist()
+        sys.stdout.write(("%d\n" * len(values)) % tuple(values))
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .model import _check_thinning_fraction, _real, hermite2_from_mean_variance
 from .pmf import PmfTable, _check_k_max, pmf_table
@@ -86,6 +87,12 @@ def _alternating_geometric_base() -> PmfTable:
     return PmfTable(probs)
 
 
+@lru_cache(maxsize=64)
+def _thinned_base(p: float) -> PmfTable:
+    """The alternating-geometric base law thinned by a checked ``p``, built once per p."""
+    return thin_pmf_oracle(_alternating_geometric_base(), p)
+
+
 def alternating_geometric_pmf(p: float, k_max: int) -> PmfTable:
     """p-thinning of the alternating-geometric base law, cut at ``k_max``.
 
@@ -95,8 +102,7 @@ def alternating_geometric_pmf(p: float, k_max: int) -> PmfTable:
     """
     p = _check_thinning_fraction(p)
     k_max = _check_k_max(k_max)
-    base = _alternating_geometric_base()
-    thinned = thin_pmf_oracle(base, p)
+    thinned = _thinned_base(p)
     return thinned.truncate(min(k_max, thinned.k_max))
 
 
@@ -111,9 +117,7 @@ def alternating_geometric_pgf_values(p: float, t: float) -> tuple[float, float]:
     t = _real(t, "t", "[-1, 1]")
     s = 1.0 - p * (1.0 - t)
     closed = 6.0 / (21.0 - 7.0 * s * s) + 4.0 * s / (14.0 - 7.0 * s * s)
-    base = _alternating_geometric_base()
-    table = thin_pmf_oracle(base, p)
-    series = math.fsum(pk * t**k for k, pk in enumerate(table.entries))
+    series = math.fsum(pk * t**k for k, pk in enumerate(_thinned_base(p).entries))
     return closed, series
 
 

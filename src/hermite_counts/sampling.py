@@ -21,25 +21,28 @@ next_float of one SplitMix64, used in order:
 
 The j-th output of SplitMix64(seed) depends only on seed + j * gamma, so
 both samplers compute their uniforms in numpy blocks from that closed form
-(``_uniforms``) and draw ``_BLOCK`` values at a time.  When every component
-of ``sample_hermite`` inverts, draw d's component c reads uniform d*r + c (r
+(``_uniforms``), at most ``_BLOCK`` at a time.  Each Poisson rate gets one
+table, built on first use and kept: a guide-indexed cdf up to rate 30, the
+rejection constants and an lgamma table above.  When every component of
+``sample_hermite`` inverts, draw d's component c reads uniform d*r + c (r
 the number of a_i > 0), and a block is one array of uniforms searched in
-each component's cdf.  A rejection attempt uses one or two uniforms, so a
-model with a component above 30 is drawn one draw at a time, reading the
-uniforms of each block in the order above; its components at rates up to 30
-still search their cdfs, by bisection.  The thinning layout is fixed by
-the counts alone, so ``thin_sample`` works on whole blocks of uniforms.
-``sample_poisson`` and ``sample_binomial``, drawing from one SplitMix64,
-are the scalar definitions the two reproduce bit for bit.
+each component's table.  A rejection attempt uses one or two uniforms, so a
+model with a component above 30 evaluates, over a window of uniforms, the
+attempt that would start at each position, and walks its draws through
+the accepting ones.  The thinning layout is fixed by the counts alone, so
+``thin_sample`` works on whole blocks of uniforms.  ``sample_poisson`` and
+``sample_binomial``, drawing from one SplitMix64, are the scalar
+definitions the two reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, count
+from functools import lru_cache
+from itertools import chain
 
 from .errors import DataError, OverflowGuard
 from .model import HermiteParams, _check_thinning_fraction, _real, _whole
@@ -56,10 +59,20 @@ _POISSON_INVERSION_MAX = 30.0
 #: Largest count thinned by literal Bernoulli trials; above it, cdf inversion.
 _BERNOULLI_MAX = 64
 
-#: Sampling and thinning work on at most this many draws at once; sampling
-#: holds about this many uniforms per Poisson component, thinning at most
-#: this many in all.
+#: Sampling and thinning work on at most this many draws at once, and the
+#: rejection regime on windows of at most this many uniforms (one that
+#: completes no draw is widened); sampling holds about this many uniforms per
+#: Poisson component, thinning at most this many in all.
 _BLOCK = 1 << 12
+
+#: Buckets of the guide table that indexes each inversion cdf.
+_GUIDE = 1 << 10
+
+#: A rejection attempt evaluated in numpy whose floor or accept decision lies
+#: within this relative distance of its threshold is redone with ``math``.
+#: numpy's log and exp, and x*x for Python's x**2, differ from libm's by at
+#: most 2**-50 relative (a test checks it), 2**20 times less.
+_MARGIN = 2.0**-30
 
 
 class SplitMix64:
@@ -112,6 +125,35 @@ class SampleBatch:
         return sum(self.values) / len(self.values)
 
 
+def _atkinson(rate: float) -> tuple:
+    """sample_poisson's rejection method at ``rate`` > 30: (attempt, alpha,
+    beta, k0, log(rate)).  attempt(u, second) is one attempt from the uniform
+    u that calls second() for its second uniform when it needs one; it
+    returns the uniforms it used and the count it accepts, or -1."""
+    c = 0.767 - 3.36 / rate
+    beta = math.pi / math.sqrt(3.0 * rate)
+    alpha = beta * rate
+    k0 = math.log(c / beta) - rate
+    log_rate = math.log(rate)
+
+    def attempt(u: float, second: Callable[[], float]) -> tuple[int, int]:
+        if u == 0.0:
+            return 1, -1
+        x = (alpha - math.log((1.0 - u) / u)) / beta
+        n = math.floor(x + 0.5)
+        if n < 0:
+            return 1, -1
+        v = second()
+        if v <= 0.0:
+            return 2, -1
+        y = alpha - beta * x
+        lhs = y + math.log(v / (1.0 + math.exp(y)) ** 2)
+        rhs = k0 + n * log_rate - math.lgamma(n + 1.0)
+        return 2, n if lhs <= rhs else -1
+
+    return attempt, alpha, beta, k0, log_rate
+
+
 def _poisson_sampler(rate: float):
     """Check ``rate`` once; return draw(uniform) -> int, sample_poisson's
     method with its per-rate constants precomputed, reading its uniforms from
@@ -137,29 +179,13 @@ def _poisson_sampler(rate: float):
             return k
 
         return invert
-    c = 0.767 - 3.36 / rate
-    beta = math.pi / math.sqrt(3.0 * rate)
-    alpha = beta * rate
-    k0 = math.log(c / beta) - rate
-    log_rate = math.log(rate)
+    attempt = _atkinson(rate)[0]
 
     def reject(uniform: Callable[[], float]) -> int:
         while True:
-            u = uniform()
-            if u == 0.0:
-                continue
-            x = (alpha - math.log((1.0 - u) / u)) / beta
-            n = math.floor(x + 0.5)
-            if n < 0:
-                continue
-            v = uniform()
-            if v <= 0.0:
-                continue
-            y = alpha - beta * x
-            lhs = y + math.log(v / (1.0 + math.exp(y)) ** 2)
-            rhs = k0 + n * log_rate - math.lgamma(n + 1.0)
-            if lhs <= rhs:
-                return int(n)
+            n = attempt(uniform(), uniform)[1]
+            if n >= 0:
+                return n
 
     return reject
 
@@ -224,17 +250,121 @@ def _inversion_cdf(rate: float) -> list[float]:
     return cdf
 
 
-def _cdf_search(cdf: list[float]) -> Callable[[Callable[[], float]], int]:
-    """draw(uniform) -> int: one uniform searched in the _inversion_cdf ``cdf``."""
-    top = len(cdf) - 1
-    return lambda uniform: min(bisect_right(cdf, uniform()), top)
+@lru_cache(maxsize=64)
+def _inversion_table(rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_inversion_cdf(rate) with its guide table (Chen & Asau 1974), all
+    read-only arrays: (cdf, lo, slow).
 
-
-def _hermite_blocks(params: HermiteParams, n: int, seed: int) -> Iterator[list[int]]:
-    """Check the inputs now; return ``n`` draws of sum_i i*X_i in lists of at
-    most ``_BLOCK``, drawn as the lists are taken."""
+    Bucket b of the ``_GUIDE`` buckets holds the keys in [b, b + 1) / _GUIDE,
+    and ``lo[b]`` counts the entries <= b / _GUIDE.  Where at most one entry
+    lies inside the bucket, a key u's index is lo[b] + (cdf[lo[b]] <= u): an
+    entry at or past the bucket's end lies above every key in it.  ``slow``
+    marks the buckets with more entries inside, or holding the last one.
+    """
     import numpy as np
 
+    cdf = _inversion_cdf(rate)
+    last = int(cdf[-1] * _GUIDE)  # keys at or above the last entry map to the top index
+    lo = [bisect_right(cdf, b / _GUIDE) for b in range(_GUIDE)]
+    slow = [b >= last or bisect_left(cdf, (b + 1) / _GUIDE) - lo[b] > 1 for b in range(_GUIDE)]
+    arrays = np.array(cdf), np.array(lo), np.array(slow)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _invert(table: tuple[np.ndarray, np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
+    """min(bisect_right(cdf, u), len(cdf) - 1) for each key of ``u`` in
+    [0, 1), from the _inversion_table of the cdf; a key in a slow bucket is
+    searched by bisection."""
+    import numpy as np
+
+    cdf, lo, slow = table
+    b = (u * _GUIDE).astype(np.intp)  # exact: _GUIDE is a power of 2
+    k = lo.take(b)
+    k += cdf.take(k) <= u
+    hard = np.flatnonzero(slow.take(b))
+    if hard.size:
+        k[hard] = np.minimum(np.searchsorted(cdf, u[hard], "right"), len(cdf) - 1)
+    return k
+
+
+@lru_cache(maxsize=64)
+def _rejection_table(rate: float) -> tuple:
+    """_atkinson(rate) and the read-only math.lgamma(n + 1.0) for n from n_lo
+    on: (attempt, alpha, beta, k0, log(rate), n_lo, lgamma)."""
+    import numpy as np
+
+    attempt, alpha, beta, k0, log_rate = _atkinson(rate)
+    # n within 10 / beta of the rate, where |log((1 - u) / u)| < 10: all but
+    # 1 in 10**4 attempts; _rejection_window redoes the others with attempt()
+    n_lo = max(0, math.floor(rate - 10.0 / beta))
+    lgamma = np.array([math.lgamma(k + 1.0) for k in range(n_lo, math.ceil(rate + 10.0 / beta) + 1)])
+    lgamma.flags.writeable = False
+    return attempt, alpha, beta, k0, log_rate, n_lo, lgamma
+
+
+def _rejection_window(table: tuple, u: np.ndarray) -> tuple[list[int], list[int]]:
+    """One rejection rate's draws at every start in a window of the stream.
+
+    ``u`` holds the window's w positions and one uniform past them.  Every
+    position gets the attempt that would start there, evaluated in numpy;
+    an attempt whose floor or accept decision lies within ``_MARGIN``
+    (relative) of its threshold is redone by ``attempt``'s ``math``
+    expressions, so that libm's last bits decide it, and so is one whose
+    count lies outside the lgamma table.  Pointer jumping then
+    takes each position to the attempt that accepts.  Returns (steps,
+    values) over positions 0..w + 2: a draw starting at p ends before
+    position p + steps[p] with count values[p]; a draw that runs past the
+    window, and every draw starting at or past w, ends at the dead position
+    w + 2.  Steps are short, so their ints are the interpreter's shared ones.
+    """
+    import numpy as np
+
+    attempt, alpha, beta, k0, log_rate, n_lo, lgamma = table
+    width = len(u) - 1
+    first, second = u[:-1], u[1:]
+    live = first != 0.0
+    log_odds = np.log((1.0 - first) / np.where(live, first, 1.0))
+    x = (alpha - log_odds) / beta
+    t = x + 0.5
+    n = np.floor(t)
+    y = alpha - beta * x
+    with np.errstate(divide="ignore"):
+        g = np.log(second / (1.0 + np.exp(y)) ** 2)
+    lhs = y + g
+    n_hi = n_lo + len(lgamma) - 1
+    rhs = k0 + n * log_rate - lgamma.take(np.clip(n, n_lo, n_hi).astype(np.intp) - n_lo)
+    counted = live & (n >= 0.0)
+    tried = counted & (second > 0.0)
+    accept = tried & (lhs <= rhs)
+    scale = alpha + np.abs(log_odds)
+    near = live & (np.abs(t - np.rint(t)) <= _MARGIN * (scale / beta + 1.0))
+    near |= tried & (np.abs(lhs - rhs) <= _MARGIN * (scale + np.abs(g) + 1.0))
+    near |= counted & ((n < n_lo) | (n > n_hi))
+    used = 1 + counted
+    n = n.astype(np.int64)
+    for p in np.flatnonzero(near).tolist():
+        used[p], n[p] = attempt(float(first[p]), lambda v=float(second[p]): v)
+        accept[p] = n[p] >= 0
+    # jump[p]: p itself where an attempt accepts, else the next attempt's start
+    positions = np.arange(width + 3)
+    jump = positions.copy()
+    jump[:width] += np.where(accept, 0, used)
+    while True:
+        jumped = jump.take(jump)
+        if np.array_equal(jumped, jump):
+            break
+        jump = jumped
+    done = jump < width
+    ends = np.where(done, jump + np.append(used, [0, 0, 0]).take(jump), width + 2)
+    values = np.where(done, np.append(n, [0, 0, 0]).take(jump), 0)
+    return (ends - positions).tolist(), values.tolist()
+
+
+def _hermite_blocks(params: HermiteParams, n: int, seed: int) -> Iterator[np.ndarray]:
+    """Check the inputs now; return ``n`` draws of sum_i i*X_i as int64
+    arrays, drawn as the arrays are taken."""
     n = _whole(n, "sample size", 1)
     for i, rate in enumerate(params.a, start=1):
         if rate > MAX_COMPONENT_RATE:
@@ -244,40 +374,77 @@ def _hermite_blocks(params: HermiteParams, n: int, seed: int) -> Iterator[list[i
     seed = _seed(seed)  # np.uint64 refuses a negative seed
     active = [(i, rate) for i, rate in enumerate(params.a, start=1) if rate > 0.0]
     if any(rate > _POISSON_INVERSION_MAX for _, rate in active):
-        draws = [
-            (i, _cdf_search(_inversion_cdf(rate)) if rate <= _POISSON_INVERSION_MAX else _poisson_sampler(rate))
-            for i, rate in active
-        ]
-        uniform = _uniform_stream(seed)
+        return _rejection_blocks(active, n, seed)
+    return _inversion_blocks(active, n, seed)
 
-        def block(lo: int, m: int) -> list[int]:
-            values = []
-            for _ in range(m):
-                total = 0
-                for i, draw in draws:
-                    total += i * draw(uniform)
-                values.append(total)
-            return values
 
-    else:
-        r = len(active)
-        cdfs = [(i, np.array(_inversion_cdf(rate))) for i, rate in active]
+def _inversion_blocks(active: list[tuple[int, float]], n: int, seed: int) -> Iterator[np.ndarray]:
+    """Draws of at most ``_BLOCK`` at a time when every component inverts:
+    draw d's component c reads uniform d*r + c."""
+    import numpy as np
 
-        def block(lo: int, m: int) -> list[int]:
-            # draw d's component c reads uniform d*r + c
-            u = _uniforms(seed, lo * r, m * r).reshape(m, r)
-            total = np.zeros(m, dtype=np.int64)
-            for c, (i, cdf) in enumerate(cdfs):
-                total += i * np.minimum(np.searchsorted(cdf, u[:, c], "right"), len(cdf) - 1)
-            return total.tolist()
+    r = len(active)
+    tables = [(i, _inversion_table(rate)) for i, rate in active]
+    for lo in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - lo)
+        u = _uniforms(seed, lo * r, m * r).reshape(m, r)
+        total = np.zeros(m, dtype=np.int64)
+        for c, (i, table) in enumerate(tables):
+            total += i * _invert(table, u[:, c])
+        yield total
 
-    return (block(lo, min(_BLOCK, n - lo)) for lo in range(0, n, _BLOCK))
+
+def _rejection_blocks(active: list[tuple[int, float]], n: int, seed: int) -> Iterator[np.ndarray]:
+    """Draws window by window when a component rejects.
+
+    A window spans about the uniforms the draws still owed take, at most
+    ``_BLOCK``.  Each distinct rate gets its (steps, values) columns over the
+    window, and the draws walk them component by component.  The next
+    window starts where the first draw that runs past this one starts; a
+    window that completes no draw is retried twice as wide.
+    """
+    import numpy as np
+
+    tables = {
+        rate: _rejection_table(rate) if rate > _POISSON_INVERSION_MAX else _inversion_table(rate) for _, rate in active
+    }
+    # uniforms a draw takes, about: one per inverted component, under 3.1 per rejecting one
+    per_draw = sum(1.0 if rate <= _POISSON_INVERSION_MAX else 3.2 for _, rate in active)
+    start, owed, width, stalled = 0, n, 0, False
+    while owed:
+        width = 2 * width if stalled else min(_BLOCK, math.ceil(owed * per_draw) + 4)
+        u = _uniforms(seed, start, width + 1)
+        dead = width + 2
+        columns = {}
+        for rate, table in tables.items():
+            if rate > _POISSON_INVERSION_MAX:
+                columns[rate] = _rejection_window(table, u)
+            else:
+                columns[rate] = [1] * width + [2, 1, 0], _invert(table, u[:width]).tolist() + [0, 0, 0]
+        walk = [(i, *columns[rate]) for i, rate in active]
+        draws, p = [], 0
+        for _ in range(owed):
+            q, total = p, 0
+            for i, step, values in walk:
+                total += i * values[q]
+                q += step[q]
+            if q == dead:
+                break
+            draws.append(total)
+            p = q
+        stalled = not draws
+        if draws:
+            start += p
+            owed -= len(draws)
+            yield np.array(draws, dtype=np.int64)
 
 
 def sample_hermite(params: HermiteParams, n: int, seed: int) -> SampleBatch:
     """``n`` independent draws of sum_i i*X_i with X_i ~ Poisson(a_i)."""
+    import numpy as np
+
     seed = _seed(seed)
-    return SampleBatch(values=tuple(chain.from_iterable(_hermite_blocks(params, n, seed))), seed=seed)
+    return SampleBatch(values=tuple(np.concatenate(list(_hermite_blocks(params, n, seed))).tolist()), seed=seed)
 
 
 def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -301,13 +468,6 @@ def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
     u = z.astype(np.float64)
     u *= 2.0**-53
     return u
-
-
-def _uniform_stream(seed: int) -> Callable[[], float]:
-    """A callable whose successive calls return SplitMix64(seed).next_float's
-    outputs in order, computed ``_BLOCK`` at a time by :func:`_uniforms`;
-    ``seed`` must lie in [0, 2**64)."""
-    return chain.from_iterable(_uniforms(seed, start, _BLOCK).tolist() for start in count(0, _BLOCK)).__next__
 
 
 def _binomial_cdf(trials: int, q: float, u_max: float) -> np.ndarray:

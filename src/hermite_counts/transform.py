@@ -16,9 +16,13 @@ Nothing on the command line calls it, so ``verify`` never loads numpy.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .errors import DomainError
 from .model import FactorialCumulants, HermiteParams, _check_thinning_fraction
-from .pmf import PmfTable
+
+if TYPE_CHECKING:
+    from .pmf import PmfTable
 
 #: Tables longer than this are refused by the thinning oracle (it is
 #: quadratic in the length and intended for verification work only).
@@ -77,6 +81,8 @@ def convolve_pmf_oracle(first: PmfTable, second: PmfTable) -> PmfTable:
     """Distribution of the sum, (P*Q)_k = sum_j P_j Q_{k-j}, by direct convolution."""
     import numpy as np
 
+    from .pmf import PmfTable
+
     return PmfTable(np.convolve(first.probs, second.probs))
 
 
@@ -91,6 +97,8 @@ def thin_pmf_oracle(table: PmfTable, p: float) -> PmfTable:
     in a process that already has numpy loaded it is about 5x slower than an
     array form (a 401-entry table: 5.3 ms against 1.1 ms, 2-core Xeon).
     """
+    from .pmf import PmfTable
+
     p = _check_thinning_fraction(p)
     if len(table) > ORACLE_MAX_LEN:
         raise DomainError(

@@ -20,6 +20,7 @@ from hermite_counts import (
     run_verification,
     thin_pmf_oracle,
 )
+from hermite_counts import reference
 from hermite_counts.reference import _NEGATIVE_BINOMIAL_LAWS, _alternating_geometric_base
 
 from conftest import poisson_table_exact
@@ -214,3 +215,21 @@ class TestVerificationSuite:
         assert len(checks) >= 6
         failures = [c.name for c in checks if not c.passed]
         assert failures == []
+
+    def test_the_base_law_is_thinned_once_per_fraction(self, monkeypatch):
+        # 9 + 9 + 4 thinnings of the doubled Poisson, negative binomial and
+        # semigroup tables, and 9 of the alternating-geometric base: one per
+        # distinct p among its 23 uses (45 calls when each use rebuilt it)
+        calls = []
+
+        def counted(table, p):
+            calls.append(p)
+            return thin_pmf_oracle(table, p)
+
+        monkeypatch.setattr(reference, "thin_pmf_oracle", counted)
+        reference._thinned_base.cache_clear()
+        try:
+            run_verification()
+        finally:
+            reference._thinned_base.cache_clear()
+        assert len(calls) == 31

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -394,3 +395,76 @@ class TestGoldenStreams:
             rng = SplitMix64(7)
             expected = tuple(sample_binomial(x, p, rng) for x in counts)
             assert thin_sample(SampleBatch(counts, seed=0), p, 7).values == expected
+
+
+#: Rates whose inversion cdfs the guide search is checked on: one whose cdf
+#: ends at once, one whose rounded cdf ends below 1, the middle, and 30.
+GUIDE_RATES = (1e-3, 0.1, 0.25, 1.0, 2.0, 7.3, 29.5, 30.0)
+
+LAST_UNIFORM = 1.0 - 2.0**-53
+
+
+class TestInversionTables:
+    @pytest.mark.parametrize("rate", GUIDE_RATES, ids=str)
+    def test_guide_search_matches_bisection_of_the_full_cdf(self, rate):
+        cdf = sampling._inversion_cdf(rate)
+        top = len(cdf) - 1
+        entries = [min(c, LAST_UNIFORM) for c in cdf]
+        keys = [0.0, LAST_UNIFORM, *entries]
+        keys += [min(max(np.nextafter(c, side), 0.0), LAST_UNIFORM) for c in entries for side in (0.0, 2.0)]
+        keys += [b / sampling._GUIDE for b in range(sampling._GUIDE)]
+        keys += sampling._uniforms(GUIDE_RATES.index(rate), 0, 5000).tolist()
+        found = sampling._invert(sampling._inversion_table(rate), np.array(keys))
+        assert found.tolist() == [min(bisect_right(cdf, u), top) for u in keys]
+
+    def test_tables_are_cached_and_read_only(self):
+        table = sampling._inversion_table(2.0)
+        assert sampling._inversion_table(2.0) is table
+        for array in table:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        lgamma = sampling._rejection_table(40.0)[-1]
+        assert sampling._rejection_table(40.0)[-1] is lgamma and not lgamma.flags.writeable
+
+
+class TestRejectionWindows:
+    @pytest.mark.parametrize(
+        "golden", [GOLDEN_HERMITE_RATES, GOLDEN_HERMITE_REJECTION], ids=["extreme-rates", "rejection"]
+    )
+    def test_every_attempt_redone_by_math_gives_the_golden_streams(self, monkeypatch, golden):
+        # an infinite margin sends every attempt with u > 0 to the scalar route
+        monkeypatch.setattr(sampling, "_MARGIN", math.inf)
+        for (seed, a), digest in golden.items():
+            assert stream_digest(sample_hermite(HermiteParams(a), 5000, seed).values) == digest
+
+    def test_numpy_libm_lies_far_inside_the_margin(self):
+        # the window's log, exp and square against math's on their whole domain:
+        # log((1 - u) / u) for 53-bit u in (0, 1), and exp(y) for y in [-37, 37]
+        u = np.concatenate(([2.0**-53, LAST_UNIFORM], sampling._uniforms(3, 0, 10**6 - 2)))
+        u = u[u > 0.0]
+        odds = (1.0 - u) / u
+        y = np.linspace(-37.0, 37.0, 10**6)
+        e = np.array(list(map(math.exp, y.tolist())))
+        pairs = [
+            (np.log(odds), list(map(math.log, odds.tolist()))),
+            (np.exp(y), e),
+            ((1.0 + e) ** 2, [(1.0 + x) ** 2 for x in e.tolist()]),
+        ]
+        worst = 0.0
+        for got, want in pairs:
+            want = np.array(want)
+            assert np.array_equal(got == 0.0, want == 0.0)
+            nonzero = want != 0.0
+            worst = max(worst, float(np.max(np.abs(got[nonzero] - want[nonzero]) / np.abs(want[nonzero]))))
+        assert worst <= 2.0**-50
+        assert sampling._MARGIN >= 2.0**20 * 2.0**-50
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @pytest.mark.parametrize("n", [1, 2, 10])
+    def test_small_samples_match_scalar_oracle(self, monkeypatch, n, block):
+        monkeypatch.setattr(sampling, "_BLOCK", block)
+        for seed in SEEDS:
+            rng = SplitMix64(seed)
+            expected = tuple(sample_poisson(40.0, rng) + 2 * sample_poisson(10.0, rng) for _ in range(n))
+            assert sample_hermite(HermiteParams((40.0, 10.0)), n, seed).values == expected

@@ -136,7 +136,7 @@ MODULES_LOADED = {
     "pmf": ("pmf {inversion} --eps 1e-12", "cli data errors model pmf"),
     "pmf-k-max": ("pmf {inversion} --k-max 40", "cli data errors model pmf"),
     "convert": ("convert {inversion} --to summary", "cli data errors model"),
-    "thin": ("thin {inversion} --p 0.5", "cli data errors model pmf transform"),
+    "thin": ("thin {inversion} --p 0.5", "cli data errors model transform"),
     "verify": ("verify", "cli data errors model pmf reference transform"),
 }
 
