@@ -15,8 +15,11 @@ the mean slice {a >= 0, sum_i i*a_i = mean}: each trial point costs one
 pmf recurrence, the accepted trial's table also yields the next gradient,
 and the projection onto the slice is a sort of r breakpoints.  The ascent
 works on lists of r Python floats and takes every dot product and norm
-with math.fsum: the orders it climbs are mostly r <= 4, where each numpy
-call costs more than the arithmetic it does.
+with math.fsum, written out in place: the orders it climbs are mostly
+r <= 4, where each numpy call, or even a Python call, costs more than the
+arithmetic it does.  Each rung builds once what the gradient reads of the
+histogram (pmf._gradient_parts), the weights' sum of squares, and the one
+HermiteParams it returns; its iterates are plain lists.
 
 Likelihood fits climb the nested orders: order 1 starts at its closed-form
 maximum, and each higher order starts at the fit one order down with a
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from .data import CountHistogram
 from .errors import DataError, DomainError, OverflowGuard
 from .model import _MAX_EXACT_ORDER, FactorialCumulants, HermiteParams, _doubles, _real, _whole
-from .pmf import _gradient, _loglik
+from .pmf import _gradient, _gradient_parts, _loglik
 
 #: Armijo line-search constants: sufficient-increase slope and step shrink.
 _ARMIJO_SLOPE = 1e-4
@@ -167,12 +170,11 @@ def _onto_slice(y, mean: float) -> list[float]:
     more than 4 roundings of the mean away; each round shrinks the distance
     by a factor of about eps.
     """
-    w = range(1, len(y) + 1)
     z = _slice_pass(y, mean)
-    off = abs(_dot(w, z) - mean)
+    off = abs(math.fsum([i * v for i, v in enumerate(z, start=1)]) - mean)
     while off > 4.0 * sys.float_info.epsilon * mean:
         again = _slice_pass(z, mean)
-        closer = abs(_dot(w, again) - mean)
+        closer = abs(math.fsum([i * v for i, v in enumerate(again, start=1)]) - mean)
         if closer >= off:
             break
         z, off = again, closer
@@ -181,7 +183,6 @@ def _onto_slice(y, mean: float) -> list[float]:
 
 def _slice_pass(y, mean: float) -> list[float]:
     """One projection of ``y`` onto the slice, as :func:`_onto_slice` describes it."""
-    y = [float(v) for v in y]
     keys = [v / i for i, v in enumerate(y, start=1)]
     order = sorted(range(len(y)), key=keys.__getitem__, reverse=True)
     top, tau, wy, ww = 0, 0.0, 0.0, 0.0
@@ -198,17 +199,11 @@ def _slice_pass(y, mean: float) -> list[float]:
         z[k] = v if v > 0.0 else 0.0
     # A long step cancels in that subtraction; a second pass on the same
     # coordinates puts its rounding residue back on the slice.
-    w = [k + 1 for k in active]
-    shift = (_dot(w, [z[k] for k in active]) - mean) / _dot(w, w)
+    shift = (math.fsum([(k + 1) * z[k] for k in active]) - mean) / math.fsum([(k + 1) * (k + 1) for k in active])
     for k in active:
         v = z[k] - shift * (k + 1)
         z[k] = v if v > 0.0 else 0.0
     return z
-
-
-def _dot(x, y) -> float:
-    """sum_i x_i*y_i: the rounded products, summed with one rounding by fsum."""
-    return math.fsum([u * v for u, v in zip(x, y)])
 
 
 def mle_iterates(
@@ -237,26 +232,30 @@ def mle_iterates(
     stall: no step alpha*g with alpha * max|g| > eps * max(a) raises the loglik.
     ``tol`` must be finite and >= 0; it and ``max_iter`` are checked at the call.
     """
-    return _iterates(hist, init, _real(tol, "tol", "[0, inf)"), _whole(max_iter, "max_iter", 0))
+    iterates = _iterates(hist, init.a, _real(tol, "tol", "[0, inf)"), _whole(max_iter, "max_iter", 0))
+    return ((HermiteParams(tuple(a)), loglik, gnorm) for a, loglik, gnorm in iterates)
 
 
-def _iterates(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: int):
-    """:func:`mle_iterates` on a checked ``tol`` and ``max_iter``."""
+def _iterates(hist: CountHistogram, init: tuple[float, ...], tol: float, max_iter: int):
+    """:func:`mle_iterates` from the coefficients ``init``, on a checked
+    ``tol`` and ``max_iter``; each iterate is a list of floats."""
     mean = hist.mean()
     if mean == 0.0:
         raise DataError("sample mean is zero; every observation is 0")
-    a = list(init.a)
+    fsum = math.fsum
+    a = list(init)
     loglik, table = _loglik(a, hist)
     if not math.isfinite(loglik):
         raise DomainError("initial point has zero likelihood; choose a feasible start")
     w = range(1, len(a) + 1)
-    start_mean = _dot(w, a)
+    start_mean = fsum([i * x for i, x in zip(w, a)])
     if abs(start_mean - mean) > 1e-10 * mean:
         raise DomainError(
             f"start has mean sum_i i*a_i = {start_mean!r}, off the sample mean {mean!r};"
             " the ascent runs on the slice where the two agree"
         )
-    ww = _dot(w, w)
+    ww = fsum([i * i for i in w])
+    parts = _gradient_parts(hist, len(a))
     alpha = 1.0
     prev_a: list[float] | None = None
     prev_grad: list[float] | None = None
@@ -264,12 +263,12 @@ def _iterates(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: i
         # P(y + s*w) = P(y) for every s, so only the gradient's part along
         # the hyperplane sum_i i*a_i = mean moves the ascent; dropping the
         # rest before scaling keeps a long step from cancelling in P.
-        grad = _gradient(*table, hist, len(a))
-        along = _dot(grad, w) / ww
+        grad = _gradient(*table, hist, parts)
+        along = fsum([g * i for g, i in zip(grad, w)]) / ww
         grad = [g - along * i for i, g in enumerate(grad, start=1)]
         d = [p - x for p, x in zip(_onto_slice([x + g for x, g in zip(a, grad)], mean), a)]
-        gnorm = math.sqrt(_dot(d, d))
-        yield HermiteParams(tuple(a)), loglik, gnorm
+        gnorm = math.sqrt(fsum([v * v for v in d]))
+        yield a, loglik, gnorm
         if gnorm <= tol * (1.0 + abs(loglik)) or taken == max_iter:
             return
         # Spectral (Barzilai-Borwein) trial step: plain steepest ascent
@@ -278,8 +277,8 @@ def _iterates(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: i
         # A step of 0 (dx @ dx underflowing) would end the ascent at once.
         if prev_a is not None:
             dx = [x - p for x, p in zip(a, prev_a)]
-            curvature = -_dot(dx, [g - p for g, p in zip(grad, prev_grad)])
-            if curvature > 0.0 and 0.0 < (bb := _dot(dx, dx) / curvature) < math.inf:
+            curvature = -fsum([u * (g - p) for u, g, p in zip(dx, grad, prev_grad)])
+            if curvature > 0.0 and 0.0 < (bb := fsum([u * u for u in dx]) / curvature) < math.inf:
                 alpha = bb
         prev_a, prev_grad = a, grad
         # Backtracking: accept the first step with sufficient increase along
@@ -290,7 +289,7 @@ def _iterates(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: i
         while True:
             cand = _onto_slice([x + alpha * g for x, g in zip(a, grad)], mean)
             cand_ll, cand_table = _loglik(cand, hist)
-            if cand_ll >= loglik + _ARMIJO_SLOPE * _dot(grad, [c - x for c, x in zip(cand, a)]):
+            if cand_ll >= loglik + _ARMIJO_SLOPE * fsum([g * (c - x) for g, c, x in zip(grad, cand, a)]):
                 break
             alpha *= _ARMIJO_SHRINK
             if alpha * g_max <= floor:
@@ -302,34 +301,34 @@ def _iterates(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: i
 
 def _ascend(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: int) -> FitResult:
     iterations = -1  # the first yield is the initial point, not a step
-    for params, loglik, gnorm in _iterates(hist, init, tol, max_iter):
+    for a, loglik, gnorm in _iterates(hist, init.a, tol, max_iter):
         iterations += 1
-    converged = gnorm <= tol * (1.0 + abs(loglik))
     return FitResult(
-        params=params,
+        params=HermiteParams(tuple(a)),
         loglik=loglik,
-        converged=converged,
+        converged=gnorm <= tol * (1.0 + abs(loglik)),
         iterations=iterations,
         grad_norm=gnorm,
         init=init,
     )
 
 
-def _ladder(hist: CountHistogram, r_max: int, tol: float, max_iter: int):
-    """Yield the fits of orders 1..r_max, each rung started from the one below.
+def _ladder(hist: CountHistogram, r_max: int, tol: float, max_iter: int, fit: FitResult | None = None):
+    """Yield the fits of orders 1..r_max (given ``fit``, those above its order),
+    each rung started from the one below.
 
     Order 1 starts at its closed-form maximum (mean,); order r+1 starts at
     the order-r fit with a zero appended, a point of the larger family with
     the same likelihood.  Every start is therefore feasible and on the mean
     slice, and since the line search accepts no decrease, the logliks never
-    fall along the ladder.  ``tol`` and ``max_iter`` are checked once, here.
+    fall along the ladder.  ``tol`` and ``max_iter`` are checked by the caller.
     """
-    tol, max_iter = _real(tol, "tol", "[0, inf)"), _whole(max_iter, "max_iter", 0)
-    init = HermiteParams((hist.mean(),))
-    for _ in range(r_max):
-        fit = _ascend(hist, init, tol, max_iter)
+    if fit is None:
+        fit = _ascend(hist, HermiteParams((hist.mean(),)), tol, max_iter)
         yield fit
-        init = HermiteParams(fit.params.a + (0.0,))
+    for _ in range(fit.params.order, r_max):
+        fit = _ascend(hist, HermiteParams(fit.params.a + (0.0,)), tol, max_iter)
+        yield fit
 
 
 def fit_mle(
@@ -346,6 +345,20 @@ def fit_mle(
 
     Climbs the ladder of :func:`_ladder` from order 1 and returns its order-r
     fit; ``max_iter`` bounds each rung, and ``init`` is that rung's start.
+    Above the largest count M, a_j meets the likelihood only through the
+    factor exp(-a_j) on every p_k, so every stationary point of order r > M
+    is one of order M with zeros appended.  Rung r is first evaluated at
+    the order-M fit padded with zeros and returned when its gradient norm is
+    below half the convergence tolerance (never at tol 0); otherwise the
+    rungs in between are climbed.  The rungs' gradient norms at that point differ only by
+    rounding, far less than the margin, so each rung in between would also
+    pass its test at its start, and the fit is the one the climb returns.
     """
-    *_, fit = _ladder(hist, _whole(r, "r", 1), tol, max_iter)
+    r = _whole(r, "r", 1)
+    tol, max_iter = _real(tol, "tol", "[0, inf)"), _whole(max_iter, "max_iter", 0)
+    *_, fit = _ladder(hist, min(r, max(hist.max_count, 1)), tol, max_iter)
+    if r > fit.params.order:
+        jump = _ascend(hist, HermiteParams(fit.params.a + (0.0,) * (r - fit.params.order)), tol, 0)
+        settled = jump.grad_norm < 0.5 * tol * (1.0 + abs(jump.loglik))
+        *_, fit = [jump] if settled else _ladder(hist, r, tol, max_iter, fit)
     return fit

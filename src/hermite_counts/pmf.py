@@ -280,29 +280,37 @@ def _loglik(a: tuple[float, ...] | list[float], hist: CountHistogram) -> tuple[f
     return math.fsum(terms), table
 
 
-def _gradient(m: list[float], e: list[int], hist: CountHistogram, r: int) -> list[float]:
-    # Every observed count has p_k > 0 here: the ascent only visits points of
-    # finite likelihood, and loglik_gradient checks its input.  The bins are
-    # sorted, so those with count < j form a prefix, whose terms freq * (0.0 -
-    # 1.0) sum exactly to minus its total frequency (at most 2**53, an exact
-    # double); fsum rounds the exact sum once, so that one term is the same.
-    # Above the largest count every bin is in the prefix, and the sum is -n.
+def _gradient_parts(hist: CountHistogram, r: int) -> tuple[list[tuple[int, int, list[float]]], list[float]]:
+    """What :func:`_gradient` reads of ``hist`` at order r, built once per rung.
+
+    The bins are sorted, so those with count < j form a prefix, whose terms
+    freq * (0.0 - 1.0) sum exactly to minus its total frequency (at most
+    2**53, an exact double); fsum rounds the exact sum once, so that one term
+    is the same.  Each j up to the largest count gets (j, the index of its
+    first bin with count >= j, that term); above it every bin is in the
+    prefix, and the entry is -n.
+    """
     counts = [c for c, _ in hist.bins]
     below = list(accumulate((freq for _, freq in hist.bins), initial=0))
-    ldexp, shifted = math.ldexp, any(e)
-    grad = []
+    parts = []
     for j in range(1, min(r, hist.max_count) + 1):
         i = bisect_left(counts, j)
+        parts.append((j, i, [-float(below[i])] if i else []))
+    return parts, [-float(hist.n)] * max(r - hist.max_count, 0)
+
+
+def _gradient(m: list[float], e: list[int], hist: CountHistogram, parts: tuple[list, list[float]]) -> list[float]:
+    # Every observed count has p_k > 0 here: the ascent only visits points of
+    # finite likelihood, and loglik_gradient checks its input.
+    parts, above = parts
+    grad, ldexp, shifted = [], math.ldexp, any(e)
+    for j, i, rest in parts:
         if shifted:
             terms = [freq * (ldexp(m[c - j] / m[c], e[c - j] - e[c]) - 1.0) for c, freq in hist.bins[i:]]
         else:  # ldexp by 0 is exact
             terms = [freq * (m[c - j] / m[c] - 1.0) for c, freq in hist.bins[i:]]
-        if i:
-            terms.append(-float(below[i]))
-        grad.append(math.fsum(terms))
-    if r > hist.max_count:
-        grad += [-float(hist.n)] * (r - hist.max_count)
-    return grad
+        grad.append(math.fsum(terms + rest))
+    return grad + above
 
 
 def log_likelihood(params: HermiteParams, hist: CountHistogram) -> float:
@@ -327,4 +335,4 @@ def loglik_gradient(params: HermiteParams, hist: CountHistogram) -> np.ndarray:
     for count, _ in hist.bins:
         if m[count] <= 0.0:
             raise DomainError(f"observed count {count} has zero probability; gradient undefined")
-    return np.array(_gradient(m, e, hist, params.order), dtype=float)
+    return np.array(_gradient(m, e, hist, _gradient_parts(hist, params.order)), dtype=float)

@@ -87,6 +87,7 @@ def select_order(
     :func:`fit_mle` returns for the same orders; ``max_iter`` bounds each.
     """
     r_max, alpha = _whole(r_max, "r_max", 1), _real(alpha, "alpha", "(0, 1)")
+    tol, max_iter = _real(tol, "tol", "[0, inf)"), _whole(max_iter, "max_iter", 0)
 
     ladder = _ladder(hist, r_max, tol, max_iter)
     fits = [next(ladder)]

@@ -506,6 +506,22 @@ class TestMeanSlice:
             a = np.array(fit.params.a)
             np.testing.assert_allclose(_onto_slice(a, mean), a, rtol=1e-12, atol=1e-12 * mean)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.dictionaries(st.integers(0, 6), st.integers(1, 40), min_size=2).map(CountHistogram.from_mapping),
+        st.integers(1, 8),
+        st.sampled_from([(DEFAULT_TOL, DEFAULT_MAX_ITER), (1e-4, DEFAULT_MAX_ITER), (0.0, 20)]),
+    )
+    def test_orders_above_the_largest_count_give_the_climbs_fit(self, hist, above, stop):
+        # fit_mle evaluates rung r once at the padded order-M fit; the ladder
+        # climbs every rung in between, and both must give the same bits
+        r, (tol, max_iter) = hist.max_count + above, stop
+        *_, climbed = _ladder(hist, r, tol, max_iter)
+        fit = fit_mle(hist, r, tol=tol, max_iter=max_iter)
+        assert repr(fit) == repr(climbed)
+        if fit.converged:
+            assert fit.params.a[hist.max_count :] == (0.0,) * above
+
     def test_order_one_sits_on_its_one_point_slice(self):
         hist = CountHistogram.from_mapping({0: 3, 1: 5, 2: 2, 7: 1})
         fit = fit_mle(hist, 1)
