@@ -12,6 +12,14 @@ from .errors import DataError
 # Counts above this would force pmf tables of the same length; reject early.
 MAX_OBSERVED_COUNT = 10**6
 
+#: from_observations counts a tuple or list this long or longer as bytes.
+_BYTE_PATH_MIN = 256
+#: The byte path's probe reads about this many values, evenly spaced, and
+#: leaves the input to Counter when they hold more than _PROBE_DISTINCT_MAX
+#: distinct values: each costs one pass of bytes.count over the input.
+_PROBE = 64
+_PROBE_DISTINCT_MAX = 24
+
 
 @dataclass(frozen=True, slots=True)
 class CountHistogram:
@@ -62,7 +70,27 @@ class CountHistogram:
 
     @classmethod
     def from_observations(cls, values: Iterable[int]) -> "CountHistogram":
-        """Aggregate raw observations into a histogram."""
+        """Aggregate raw observations into a histogram.
+
+        A tuple or list of at least ``_BYTE_PATH_MIN`` values is first tried
+        as bytes: ``bytes(values)`` is an exact check, raising on any value
+        that is not an integer (has no ``__index__``) or lies outside 0..255,
+        and each value present is then counted by ``bytes.count``.  A strided
+        probe of about ``_PROBE`` values, plus the last, sends an input with
+        many distinct values, or with a value outside 0..255 that the probe
+        sees, on at once.  Every other input, and one that ``bytes()``
+        refuses, is counted by a ``collections.Counter``.  Both ways give the
+        same bins or the same DataError, except on a value that has
+        ``__index__`` but does not hash and compare as that integer (a 0-d
+        integer array): ``bytes()`` takes its integer, where Counter refuses
+        it or keeps it apart.  An array, ``bytes`` or other buffer is never
+        handed to ``bytes()``, which would read its raw memory, not its
+        values.
+        """
+        if type(values) in (tuple, list) and len(values) >= _BYTE_PATH_MIN:
+            bins = _byte_bins(values)
+            if bins is not None:
+                return cls(bins)
         try:
             counted = Counter(values)
         except TypeError:  # not iterable, or an unhashable observation
@@ -92,3 +120,24 @@ class CountHistogram:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.bins)
+
+
+def _byte_bins(values: tuple | list) -> tuple[tuple[int, int], ...] | None:
+    """The (count, frequency) pairs of ``values``, a tuple or list of
+    integers in 0..255 whose probe holds few distinct values, or None.
+
+    The probe's values are counted with one ``bytes.count`` each, and
+    whatever they leave (the rarer values) with a Counter over the bytes.
+    """
+    try:
+        seen = set(bytes(values[:: len(values) // _PROBE] + values[-1:]))
+        if len(seen) > _PROBE_DISTINCT_MAX:
+            return None
+        octets = bytes(values)
+    except (TypeError, ValueError):  # a non-integer, or one outside 0..255
+        return None
+    bins = [(k, octets.count(k)) for k in seen]
+    rest = octets.translate(None, bytes(seen))
+    if rest:
+        bins += Counter(rest).items()
+    return tuple(bins)

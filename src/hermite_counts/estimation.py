@@ -12,8 +12,9 @@ and every maximum over it has the sample mean: by the score identity
 sum_j j*a_j*dl/da_j = n*(mean - sum_j j*a_j).  The optimizer is therefore
 projected gradient ascent (spectral trial steps, Armijo backtracking) on
 the mean slice {a >= 0, sum_i i*a_i = mean}: each trial point costs one
-pmf recurrence, the accepted trial's table also yields the next gradient,
-and the projection onto the slice is a sort of r breakpoints.  The ascent
+pmf recurrence (none when it repeats the trial just rejected), the accepted
+trial's table also yields the next gradient, and the projection onto the
+slice is a sort of r breakpoints.  The ascent
 works on lists of r Python floats and takes every dot product and norm
 with math.fsum, written out in place: the orders it climbs are mostly
 r <= 4, where each numpy call, or even a Python call, costs more than the
@@ -285,12 +286,18 @@ def _iterates(hist: CountHistogram, init: tuple[float, ...], tol: float, max_ite
         # the projected arc; the reference direction is the gradient along
         # the hyperplane.  Once alpha * max|g| is within one rounding of
         # max(a), no shorter trial can move any coordinate by more than that.
+        # A long step projects onto the same vertex of the slice for several
+        # halvings; the test is a function of the trial point alone, so a
+        # trial equal to the one just rejected is rejected unevaluated.
         g_max, floor = max(map(abs, grad)), sys.float_info.epsilon * max(a)
+        rejected = None
         while True:
             cand = _onto_slice([x + alpha * g for x, g in zip(a, grad)], mean)
-            cand_ll, cand_table = _loglik(cand, hist)
-            if cand_ll >= loglik + _ARMIJO_SLOPE * fsum([g * (c - x) for g, c, x in zip(grad, cand, a)]):
-                break
+            if cand != rejected:
+                cand_ll, cand_table = _loglik(cand, hist)
+                if cand_ll >= loglik + _ARMIJO_SLOPE * fsum([g * (c - x) for g, c, x in zip(grad, cand, a)]):
+                    break
+                rejected = cand
             alpha *= _ARMIJO_SHRINK
             if alpha * g_max <= floor:
                 return  # stalled: no step that moves a coordinate raises the objective

@@ -1,6 +1,10 @@
 """Moment estimators, the MLE, and their stationarity guarantees."""
 
+import array
+import enum
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +28,7 @@ from hermite_counts import (
     sample_hermite,
     select_order,
 )
+from hermite_counts.data import _BYTE_PATH_MIN
 from hermite_counts.estimation import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -53,6 +58,37 @@ def exact_moment_estimate(hist, r):
     for j in range(r, 0, -1):
         a[j] = max(d[j] - sum(math.comb(i, j) * a[i] for i in range(j + 1, r + 1)), Fraction(0))
     return a[1:]
+
+
+class _Three(enum.IntEnum):
+    THREE = 3
+
+
+def counted_bins(values):
+    """The bins, or the DataError message, of the plain Counter route."""
+    try:
+        return CountHistogram(tuple(Counter(values).items())).bins
+    except DataError as exc:
+        return str(exc)
+
+
+def observed_bins(values):
+    """The bins, or the DataError message, of ``from_observations``."""
+    try:
+        return CountHistogram.from_observations(values).bins
+    except DataError as exc:
+        return str(exc)
+
+
+#: Observations bytes() takes as their integer value, or refuses.
+ODD_VALUES = st.one_of(
+    st.integers(0, 300),
+    st.booleans(),
+    st.integers(0, 255).map(np.uint8),
+    st.integers(-5, 300).map(np.int64),
+    st.just(_Three.THREE),
+    st.sampled_from([2.0, 2.5, -1, -300, None, "3", "x"]),
+)
 
 
 class TestCountHistogram:
@@ -125,6 +161,56 @@ class TestCountHistogram:
         with pytest.raises(DataError, match="2\\*\\*53"):
             CountHistogram.from_mapping({0: 10**308, 1: 10**308, 3: 10**308})
         assert CountHistogram.from_mapping({0: 2**52, 1: 2**52}).n == 2**53
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        length=st.sampled_from([1, 100, _BYTE_PATH_MIN - 1, _BYTE_PATH_MIN, _BYTE_PATH_MIN + 1, 1000, 5000])
+        | st.integers(_BYTE_PATH_MIN, 3000),
+        top=st.sampled_from([1, 2, 7, 24, 25]) | st.integers(1, 256),
+        seed=st.integers(0, 2**32 - 1),
+        odd=st.lists(st.tuples(ODD_VALUES, st.integers(0, 2**32 - 1)), max_size=3),
+        container=st.sampled_from([tuple, list]),
+    )
+    def test_from_observations_matches_a_counter(self, length, top, seed, odd, container):
+        # a tuple or list of _BYTE_PATH_MIN values or more takes the byte
+        # path while every value is an integer in 0..255 and few are distinct;
+        # an odd value sends it to Counter, at the probe or at bytes()
+        rng = random.Random(seed)
+        values = [rng.randrange(top) for _ in range(length)]
+        for value, where in odd:
+            values[where % length] = value
+        values = container(values)
+        assert observed_bins(values) == counted_bins(values)
+
+    @pytest.mark.parametrize("where", ["first", "last", "between probes"])
+    @pytest.mark.parametrize("value", [256, 300, -1, 2.5, None])
+    @pytest.mark.parametrize("length", [_BYTE_PATH_MIN - 1, _BYTE_PATH_MIN, _BYTE_PATH_MIN + 1, 10_000])
+    def test_one_value_outside_the_bytes_is_counted_by_counter(self, where, value, length):
+        # the probe reads every (length // 64)-th value and the last, so
+        # index 1 is read only by the full bytes() pass once length >= 128
+        values = [k % 7 for k in range(length)]
+        values[{"first": 0, "last": -1, "between probes": 1}[where]] = value
+        assert observed_bins(values) == observed_bins(tuple(values)) == counted_bins(values)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: np.arange(4000) % 9,
+            lambda: np.arange(4000, dtype=np.int32) % 300,
+            lambda: np.arange(4000, dtype=np.uint8) % 5,
+            lambda: array.array("q", [k % 11 for k in range(4000)]),
+            lambda: bytes(k % 13 for k in range(4000)),
+            lambda: bytearray(k % 13 for k in range(4000)),
+            lambda: memoryview(bytes(k % 13 for k in range(4000))),
+            lambda: range(4000),
+            lambda: (k % 6 for k in range(4000)),
+        ],
+        ids=["int64", "int32-above-255", "uint8", "array-q", "bytes", "bytearray", "memoryview", "range", "generator"],
+    )
+    def test_arrays_and_iterators_count_their_values_not_their_memory(self, build):
+        # bytes() of a buffer reads its raw memory: an int64 array of 0..8
+        # would count seven zero bytes per value
+        assert observed_bins(build()) == counted_bins(build())
 
     def test_representation_invariance(self):
         raw = CountHistogram.from_observations([3, 1, 1, 0, 3, 3])
@@ -386,6 +472,20 @@ class TestFitMle:
     def test_stops_at_a_stall(self, monkeypatch):
         # 8 steps
         assert not self._early_exit(monkeypatch, {1: 7, 2: 7, 4: 3, 7: 1})
+
+    def test_a_trial_equal_to_the_one_just_rejected_is_not_evaluated(self, monkeypatch):
+        # a long step projects onto the same vertex of the slice for several
+        # halvings; evaluating each repeat made 36 likelihood calls here
+        import hermite_counts.estimation as estimation
+
+        calls = []
+        loglik = estimation._loglik
+        monkeypatch.setattr(estimation, "_loglik", lambda a, hist: calls.append(a) or loglik(a, hist))
+        hist = CountHistogram.from_observations(sample_hermite(HermiteParams((1.0, 1.0)), 10_000, seed=1).values)
+        trace = select_order(hist, 3, 0.05)
+        assert len(calls) == 25
+        assert [f.iterations for f in trace.fits] == [0, 7, 7]
+        assert trace.fits[2].loglik == -21120.335440502266
 
     def test_steep_start_at_order_fifty_converges(self):
         # the first acceptable step from here is ~6.8e-21, where max|g| is

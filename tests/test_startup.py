@@ -3,11 +3,12 @@
 Each check runs in a fresh interpreter with ``PYTHONPATH=src``.  Importing
 the package loads none of its modules, and each command loads exactly the
 package modules pinned below.  numpy is imported only inside the functions
-that use it: importing the package and the CLI, and running ``fit`` (both
+that use it: importing the package and the CLI, running ``fit`` (both
 methods), ``select``, ``convert``, ``thin``, ``pmf`` (both modes) and
-``verify``, must leave it unloaded.  ``sample`` (both regimes and with
-``--thin``) uses it; it and the ``pmf`` and ``verify`` commands, run first
-in a fresh interpreter, must print exactly the stdout pinned below.
+``verify``, and counting observations into a histogram must leave it
+unloaded.  ``sample`` (both regimes and with ``--thin``) uses it; it and
+the ``pmf`` and ``verify`` commands, run first in a fresh interpreter, must
+print exactly the stdout pinned below.
 """
 
 import hashlib
@@ -97,6 +98,25 @@ def test_numpy_free_commands_never_load_numpy(tmp_path):
     steps = json.loads(proc.stdout)
     assert len(steps) == 2 + len(argvs)
     assert [step for step in steps if step[1] != 0 or step[2]] == []
+
+
+#: Counts 10**4 ints in 0..255 (the byte path) and a list with a count above
+#: 255 (Counter) with from_observations; prints both histograms' bins and
+#: whether numpy is loaded after them.
+HISTOGRAM_SESSION = """
+import json, sys
+from hermite_counts import CountHistogram
+small = CountHistogram.from_observations([k * k % 7 for k in range(10_000)])
+wide = CountHistogram.from_observations([3, 300, 1, 3] * 100)
+print(json.dumps([small.bins, wide.bins, "numpy" in sys.modules]))
+"""
+
+
+def test_histograms_from_observations_never_load_numpy():
+    proc = fresh_python("-c", HISTOGRAM_SESSION)
+    assert proc.returncode == 0, proc.stderr.decode()
+    small = [[0, 1429], [1, 2857], [2, 2857], [4, 2857]]
+    assert json.loads(proc.stdout) == [small, [[1, 100], [3, 200], [300, 100]], False]
 
 
 @pytest.mark.parametrize("case", sorted(FIRST_CALL_STDOUT))
