@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping
@@ -16,9 +17,16 @@ MAX_OBSERVED_COUNT = 10**6
 _BYTE_PATH_MIN = 256
 #: The byte path's probe reads about this many values, evenly spaced, and
 #: leaves the input to Counter when they hold more than _PROBE_DISTINCT_MAX
-#: distinct values: each costs one pass of bytes.count over the input.
+#: distinct values: each costs a pass over the input.
 _PROBE = 64
 _PROBE_DISTINCT_MAX = 24
+#: In an input this long or longer, the byte path counts the values its
+#: probe holds more than once as bit planes, _SLICE bytes at a time, and
+#: _PLANES[i] keeps bit i of every byte; in a shorter one, the planes' fixed
+#: cost is more than they save.
+_PLANES_MIN = 1024
+_SLICE = 1 << 13
+_PLANES = tuple(int.from_bytes(bytes((1 << i,)) * _SLICE, "little") for i in range(8))
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,19 +81,15 @@ class CountHistogram:
         """Aggregate raw observations into a histogram.
 
         A tuple or list of at least ``_BYTE_PATH_MIN`` values is first tried
-        as bytes: ``bytes(values)`` is an exact check, raising on any value
-        that is not an integer (has no ``__index__``) or lies outside 0..255,
-        and each value present is then counted by ``bytes.count``.  A strided
-        probe of about ``_PROBE`` values, plus the last, sends an input with
-        many distinct values, or with a value outside 0..255 that the probe
-        sees, on at once.  Every other input, and one that ``bytes()``
-        refuses, is counted by a ``collections.Counter``.  Both ways give the
-        same bins or the same DataError, except on a value that has
-        ``__index__`` but does not hash and compare as that integer (a 0-d
-        integer array): ``bytes()`` takes its integer, where Counter refuses
-        it or keeps it apart.  An array, ``bytes`` or other buffer is never
-        handed to ``bytes()``, which would read its raw memory, not its
-        values.
+        as bytes (see :func:`_byte_bins`); every other input, and one the
+        byte path refuses, is counted by a ``collections.Counter``.  A tuple
+        or list that Counter cannot hash is counted again through
+        ``operator.index``, so a 0-d integer array counts as its integer at
+        every length, as it does on the byte path.  Both ways give the same
+        bins or the same DataError for every value that hashes and compares
+        as the integer its ``__index__`` gives, or does not hash at all.  An
+        array, ``bytes`` or other buffer is never read as bytes, which would
+        count its raw memory, not its values.
         """
         if type(values) in (tuple, list) and len(values) >= _BYTE_PATH_MIN:
             bins = _byte_bins(values)
@@ -94,7 +98,7 @@ class CountHistogram:
         try:
             counted = Counter(values)
         except TypeError:  # not iterable, or an unhashable observation
-            raise DataError("observations must be an iterable of integers") from None
+            counted = _indexed(values)
         return cls(tuple(counted.items()))
 
     @classmethod
@@ -122,21 +126,60 @@ class CountHistogram:
         return dict(self.bins)
 
 
+def _indexed(values) -> Counter:
+    """A Counter of the integers of ``values``, a tuple or list with a value
+    that does not hash; DataError when one has no ``__index__``, or when
+    ``values`` is any other container."""
+    try:
+        if type(values) in (tuple, list):
+            return Counter(map(operator.index, values))
+    except TypeError:
+        pass
+    raise DataError("observations must be an iterable of integers") from None
+
+
 def _byte_bins(values: tuple | list) -> tuple[tuple[int, int], ...] | None:
     """The (count, frequency) pairs of ``values``, a tuple or list of
     integers in 0..255 whose probe holds few distinct values, or None.
 
-    The probe's values are counted with one ``bytes.count`` each, and
-    whatever they leave (the rarer values) with a Counter over the bytes.
+    ``bytearray(values)`` is an exact check: it raises on any value that is
+    not an integer (has no ``__index__``) or lies outside 0..255, as
+    ``bytes()`` does, at half its cost.  A strided probe of about ``_PROBE``
+    values, plus the last, sends an input with many distinct values, or with
+    a value outside 0..255 that the probe sees, on to Counter at once.
+
+    In an input of at least ``_PLANES_MIN`` values, up to 8 values the probe
+    holds more than once are each mapped to one bit of a byte by one
+    ``translate``, and each bit plane of the result, read as an integer, is
+    counted by ``int.bit_count``: branch-free passes, where ``bytes.count``
+    slows with the share of the input that is the value it counts.  The other
+    probe values are rare and keep ``bytes.count``, and whatever none of them
+    is (the unseen tail) is counted by a Counter over the bytes left.
     """
     try:
-        seen = set(bytes(values[:: len(values) // _PROBE] + values[-1:]))
+        probe = bytearray(values[:: len(values) // _PROBE] + values[-1:])
+        seen = set(probe)
         if len(seen) > _PROBE_DISTINCT_MAX:
             return None
-        octets = bytes(values)
+        octets = bytearray(values)
     except (TypeError, ValueError):  # a non-integer, or one outside 0..255
         return None
-    bins = [(k, octets.count(k)) for k in seen]
+    often = []
+    if len(octets) >= _PLANES_MIN:
+        ranked = sorted(seen, key=probe.count, reverse=True)
+        often = [k for k in ranked[:8] if probe.count(k) > 1]
+    bins = [(k, octets.count(k)) for k in seen.difference(often)]
+    if often:
+        table = bytearray(256)
+        for i, k in enumerate(often):
+            table[k] = 1 << i
+        bits = octets.translate(table)
+        planes = _PLANES[: len(often)]
+        counts = [0] * len(often)
+        for start in range(0, len(bits), _SLICE):
+            x = int.from_bytes(bits[start : start + _SLICE], "little")
+            counts = [c + (x & plane).bit_count() for c, plane in zip(counts, planes)]
+        bins += zip(often, counts)
     rest = octets.translate(None, bytes(seen))
     if rest:
         bins += Counter(rest).items()

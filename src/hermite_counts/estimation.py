@@ -22,7 +22,7 @@ arithmetic it does.  Each rung builds once what the gradient reads of the
 histogram (pmf._gradient_parts), the weights' sum of squares, and the one
 HermiteParams it returns; its iterates are plain lists.
 
-Likelihood fits climb the nested orders: order 1 starts at its closed-form
+Likelihood fits climb the nested orders: order 1's fit is its closed-form
 maximum, and each higher order starts at the fit one order down with a
 zero appended, the same point and likelihood in the larger family.
 """
@@ -237,17 +237,24 @@ def mle_iterates(
     return ((HermiteParams(tuple(a)), loglik, gnorm) for a, loglik, gnorm in iterates)
 
 
-def _iterates(hist: CountHistogram, init: tuple[float, ...], tol: float, max_iter: int):
-    """:func:`mle_iterates` from the coefficients ``init``, on a checked
-    ``tol`` and ``max_iter``; each iterate is a list of floats."""
+def _checked_start(hist: CountHistogram, a: tuple[float, ...] | list[float]):
+    """The sample mean, and the loglik and scaled table at ``a``, where an
+    ascent starts; refused when the mean is zero or ``a`` has zero likelihood."""
     mean = hist.mean()
     if mean == 0.0:
         raise DataError("sample mean is zero; every observation is 0")
-    fsum = math.fsum
-    a = list(init)
     loglik, table = _loglik(a, hist)
     if not math.isfinite(loglik):
         raise DomainError("initial point has zero likelihood; choose a feasible start")
+    return mean, loglik, table
+
+
+def _iterates(hist: CountHistogram, init: tuple[float, ...], tol: float, max_iter: int):
+    """:func:`mle_iterates` from the coefficients ``init``, on a checked
+    ``tol`` and ``max_iter``; each iterate is a list of floats."""
+    fsum = math.fsum
+    a = list(init)
+    mean, loglik, table = _checked_start(hist, a)
     w = range(1, len(a) + 1)
     start_mean = fsum([i * x for i, x in zip(w, a)])
     if abs(start_mean - mean) > 1e-10 * mean:
@@ -324,14 +331,19 @@ def _ladder(hist: CountHistogram, r_max: int, tol: float, max_iter: int, fit: Fi
     """Yield the fits of orders 1..r_max (given ``fit``, those above its order),
     each rung started from the one below.
 
-    Order 1 starts at its closed-form maximum (mean,); order r+1 starts at
-    the order-r fit with a zero appended, a point of the larger family with
-    the same likelihood.  Every start is therefore feasible and on the mean
-    slice, and since the line search accepts no decrease, the logliks never
-    fall along the ladder.  ``tol`` and ``max_iter`` are checked by the caller.
+    Order 1's mean slice is the single point (mean,), its closed-form
+    maximum, so its fit is built there without an ascent: the one :func:`_ascend`
+    returns, after 0 iterations with a gradient norm of exactly 0.0 (the
+    gradient's part along the slice, g - g).  Order r+1 starts at the order-r
+    fit with a zero appended, a point of the larger family with the same
+    likelihood.  Every start is therefore feasible and on the mean slice, and
+    since the line search accepts no decrease, the logliks never fall along
+    the ladder.  ``tol`` and ``max_iter`` are checked by the caller.
     """
     if fit is None:
-        fit = _ascend(hist, HermiteParams((hist.mean(),)), tol, max_iter)
+        start = HermiteParams((hist.mean(),))
+        _, loglik, _ = _checked_start(hist, start.a)
+        fit = FitResult(params=start, loglik=loglik, converged=True, iterations=0, grad_norm=0.0, init=start)
         yield fit
     for _ in range(fit.params.order, r_max):
         fit = _ascend(hist, HermiteParams(fit.params.a + (0.0,)), tol, max_iter)

@@ -2,7 +2,9 @@
 
 The four-local recurrence step of ``pmf._scaled_pmf`` must give the bits of
 its general loop, and ``pmf._loglik`` and ``pmf._gradient`` those of a
-per-bin reference kept here; a golden digest pins the fits built on them.
+per-bin reference kept here; a golden digest pins the fits built on them,
+and another the histograms, fits and chosen orders of the mc-calibration
+benchmark's first replicates.
 
 Run as a script to check every fit of the select-wide benchmark pool and
 print one line per histogram:
@@ -17,7 +19,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermite_counts import CountHistogram, HermiteParams, loglik_gradient, pmf, sample_hermite
+from hermite_counts import CountHistogram, HermiteParams, loglik_gradient, pmf, sample_hermite, select_order
 from hermite_counts.estimation import DEFAULT_MAX_ITER, DEFAULT_TOL, _ladder
 
 #: The models of perfbench/workloads.py's select-wide pool.
@@ -27,6 +29,13 @@ SELECT_WIDE_PALETTE = ((1.0, 0.5), (4.0, 2.0), (2.0, 0.0, 1.0), (6.0, 3.0, 1.5),
 #: of _ladder(hist, 4) on the histograms of test_golden_fit_digest, as the
 #: per-bin likelihood and the general recurrence loop computed them.
 GOLDEN_FITS = "e957110dd4201575819501a6fe21ca3a01a72b5b58fb98ee1bb9d1c0f942fe96"
+
+#: SHA-256 over the first 100 replicates of perfbench/workloads.py's
+#: mc-calibration at seed 0 (10**4 draws at a=(2,) for even replicate
+#: numbers, a=(1, 1) for odd, at stream seed = the replicate number): each
+#: one's histogram bins and chosen order of select_order(hist, 3, 0.05), then
+#: repr((params.a, loglik, iterations, grad_norm, converged)) of every fit.
+GOLDEN_REPLICATES = "774df7e6d1f8e06ae3a48961e88338ba5fdb8cdac7e7a5a45395cccc7cceaec3"
 
 
 def general_scaled_pmf(a, k_max):
@@ -106,6 +115,18 @@ def test_golden_fit_digest():
         for fit in _ladder(hist, 4, DEFAULT_TOL, DEFAULT_MAX_ITER):
             digest.update(repr((fit.params.a, fit.loglik, fit.iterations, fit.grad_norm)).encode())
     assert digest.hexdigest() == GOLDEN_FITS
+
+
+def test_golden_replicate_digest():
+    digest = hashlib.sha256()
+    models = (HermiteParams((2.0,)), HermiteParams((1.0, 1.0)))
+    for rep in range(100):
+        hist = CountHistogram.from_observations(sample_hermite(models[rep % 2], 10_000, rep).values)
+        trace = select_order(hist, 3, 0.05)
+        digest.update(repr((hist.bins, trace.chosen_order)).encode())
+        for fit in trace.fits:
+            digest.update(repr((fit.params.a, fit.loglik, fit.iterations, fit.grad_norm, fit.converged)).encode())
+    assert digest.hexdigest() == GOLDEN_REPLICATES
 
 
 def select_wide_pool():

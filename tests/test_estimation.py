@@ -3,13 +3,14 @@
 import array
 import enum
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hermite_counts import (
@@ -28,7 +29,7 @@ from hermite_counts import (
     sample_hermite,
     select_order,
 )
-from hermite_counts.data import _BYTE_PATH_MIN
+from hermite_counts.data import _BYTE_PATH_MIN, _PLANES_MIN, _SLICE
 from hermite_counts.estimation import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -65,9 +66,16 @@ class _Three(enum.IntEnum):
 
 
 def counted_bins(values):
-    """The bins, or the DataError message, of the plain Counter route."""
+    """The bins, or the DataError message, of the plain Counter route: values
+    that do not all hash are counted again through operator.index."""
     try:
-        return CountHistogram(tuple(Counter(values).items())).bins
+        try:
+            counted = Counter(values)
+        except TypeError:
+            counted = Counter(map(operator.index, values))
+        return CountHistogram(tuple(counted.items())).bins
+    except TypeError:
+        return "observations must be an iterable of integers"
     except DataError as exc:
         return str(exc)
 
@@ -86,6 +94,8 @@ ODD_VALUES = st.one_of(
     st.booleans(),
     st.integers(0, 255).map(np.uint8),
     st.integers(-5, 300).map(np.int64),
+    st.integers(-5, 300).map(np.array),
+    st.sampled_from([0.0, 2.0, 2.5]).map(np.array),
     st.just(_Three.THREE),
     st.sampled_from([2.0, 2.5, -1, -300, None, "3", "x"]),
 )
@@ -164,19 +174,30 @@ class TestCountHistogram:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        length=st.sampled_from([1, 100, _BYTE_PATH_MIN - 1, _BYTE_PATH_MIN, _BYTE_PATH_MIN + 1, 1000, 5000])
+        length=st.sampled_from(
+            [1, 100, _BYTE_PATH_MIN - 1, _BYTE_PATH_MIN, _BYTE_PATH_MIN + 1, 1000, _PLANES_MIN - 1, _PLANES_MIN]
+            + [5000, _SLICE - 1, _SLICE, _SLICE + 1]
+        )
         | st.integers(_BYTE_PATH_MIN, 3000),
-        top=st.sampled_from([1, 2, 7, 24, 25]) | st.integers(1, 256),
+        top=st.sampled_from([1, 2, 7, 8, 9, 16, 17, 24, 25]) | st.integers(1, 256),
+        skewed=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
         odd=st.lists(st.tuples(ODD_VALUES, st.integers(0, 2**32 - 1)), max_size=3),
         container=st.sampled_from([tuple, list]),
     )
-    def test_from_observations_matches_a_counter(self, length, top, seed, odd, container):
+    @example(length=100_000, top=17, skewed=True, seed=1, odd=[], container=tuple)
+    def test_from_observations_matches_a_counter(self, length, top, skewed, seed, odd, container):
         # a tuple or list of _BYTE_PATH_MIN values or more takes the byte
         # path while every value is an integer in 0..255 and few are distinct;
-        # an odd value sends it to Counter, at the probe or at bytes()
+        # an odd value sends it to Counter, at the probe or at bytes().  Up to
+        # 8 values the probe sees often are counted as bit planes (top 8, 9,
+        # 16, 17 and 24 sit at the edges); skewed draws, geometric in 0..top-1,
+        # also leave values the probe sees once or never.
         rng = random.Random(seed)
-        values = [rng.randrange(top) for _ in range(length)]
+        if skewed:
+            values = [int(rng.expovariate(4.0 / top)) % top for _ in range(length)]
+        else:
+            values = [rng.randrange(top) for _ in range(length)]
         for value, where in odd:
             values[where % length] = value
         values = container(values)

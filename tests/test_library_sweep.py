@@ -35,7 +35,11 @@ Histograms have 1 to 8 bins and frequencies up to 10**6, with counts near 0
 or anywhere up to the 10**6 maximum.  The moment functions must answer or
 raise a ``HermiteError`` at orders 1 to 60 (the examples reach 188), and the
 likelihood fits at orders 1 to 3, on counts up to 12, must answer with a
-finite log-likelihood and the sample mean.
+finite log-likelihood and the sample mean, and an all-zero histogram must
+be refused with the zero-mean DataError.  The ladder's closed-form order-1
+fit must be the one the ascent from (mean,) returns, or raise its error, on
+counts up to 2000 at tolerances 0 to 1 and iteration caps 0, 1 and the
+default.
 
 Every integer argument of the public API (table lengths, sample sizes, orders,
 iteration caps, trial counts, seeds and streams) is fed ints, bools, numpy
@@ -96,7 +100,7 @@ from hermite_counts import (
     thin_sample,
     thinning_invariants,
 )
-from hermite_counts.estimation import _onto_slice, mle_iterates
+from hermite_counts.estimation import DEFAULT_MAX_ITER, DEFAULT_TOL, _ascend, _ladder, _onto_slice, mle_iterates
 from hermite_counts.pmf import MAX_TABLE_LEN, _scaled_pmf
 from hermite_counts.sampling import _BLOCK, MAX_COMPONENT_RATE, derive_seed, sample_binomial
 
@@ -257,16 +261,44 @@ def test_histogram_constructors_answer_or_raise_a_data_error(container):
 
 @settings(max_examples=100)
 @given(hist=small_histograms, r=st.integers(1, 3))
+@example(hist=CountHistogram.from_mapping({0: 3}), r=1)
+@example(hist=CountHistogram.from_mapping({0: 3}), r=3)
 def test_likelihood_fits_answer_at_the_sample_mean(hist, r):
     if hist.max_count == 0:
         for call in (lambda: fit_mle(hist, r), lambda: select_order(hist, r, 0.05)):
-            with pytest.raises(DataError):
+            with pytest.raises(DataError, match="^sample mean is zero; every observation is 0$"):
                 call()
         return
     mean = hist.mean()
     for fit in (fit_mle(hist, r), *select_order(hist, r, 0.05).fits):
         assert math.isfinite(fit.loglik)
         assert abs(math.fsum(i * x for i, x in enumerate(fit.params.a, start=1)) - mean) <= 1e-10 * mean
+
+
+def fit_or_error(call):
+    """repr of the fit ``call`` returns (every float exact, -0.0 apart), or its error's type and message."""
+    try:
+        return repr(call())
+    except HermiteError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=100)
+@given(
+    hist=small_histograms
+    | st.dictionaries(st.integers(0, 2000), st.integers(1, 10**6), min_size=1, max_size=8).map(
+        CountHistogram.from_mapping
+    ),
+    tol=st.sampled_from([0.0, 1e-12, DEFAULT_TOL, 1.0]),
+    max_iter=st.sampled_from([0, 1, DEFAULT_MAX_ITER]),
+)
+@example(hist=CountHistogram.from_mapping({0: 1, 10**6: 1}), tol=0.0, max_iter=0)
+@example(hist=CountHistogram.from_mapping({0: 7}), tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
+def test_order_one_rung_is_the_ascent_from_the_mean(hist, tol, max_iter):
+    # the ladder builds order 1 in closed form; the ascent it replaces must
+    # give the same fit, or the same error
+    rung = fit_or_error(lambda: next(_ladder(hist, 1, tol, max_iter)))
+    assert rung == fit_or_error(lambda: _ascend(hist, HermiteParams((hist.mean(),)), tol, max_iter))
 
 
 EPS = np.finfo(float).eps
