@@ -84,21 +84,29 @@ class CountHistogram:
         as bytes (see :func:`_byte_bins`); every other input, and one the
         byte path refuses, is counted by a ``collections.Counter``.  A tuple
         or list that Counter cannot hash is counted again through
-        ``operator.index``, so a 0-d integer array counts as its integer at
-        every length, as it does on the byte path.  Both ways give the same
-        bins or the same DataError for every value that hashes and compares
-        as the integer its ``__index__`` gives, or does not hash at all.  An
-        array, ``bytes`` or other buffer is never read as bytes, which would
-        count its raw memory, not its values.
+        ``operator.index``, and a value Counter holds that is not an int but
+        has ``__index__`` is counted as the integer that gives; so a 0-d
+        integer array, or an object with ``__index__`` alone, counts as its
+        integer at every length, as it does on the byte path.  Both ways give
+        the same bins or the same DataError for every value but one that has
+        ``__index__`` and compares equal to an integer other than the one
+        that gives.  An array, ``bytes`` or other buffer is never read as
+        bytes, which would count its raw memory, not its values.
         """
         if type(values) in (tuple, list) and len(values) >= _BYTE_PATH_MIN:
             bins = _byte_bins(values)
             if bins is not None:
-                return cls(bins)
+                # _byte_bins's bins pass every check: built as they stand
+                hist = object.__new__(cls)
+                object.__setattr__(hist, "bins", bins)
+                return hist
         try:
             counted = Counter(values)
         except TypeError:  # not iterable, or an unhashable observation
             counted = _indexed(values)
+        else:
+            if set(map(type, counted)) - {int}:
+                counted = _merged(counted)
         return cls(tuple(counted.items()))
 
     @classmethod
@@ -138,9 +146,27 @@ def _indexed(values) -> Counter:
     raise DataError("observations must be an iterable of integers") from None
 
 
+def _merged(counted: Counter) -> Counter:
+    """``counted`` with each key that is not an int but has ``__index__``
+    counted as the integer that gives, as bytes() reads it on the byte path;
+    a key whose ``__index__`` fails is kept, for CountHistogram to refuse.
+    The keys keep their order, so the first refused one is the same."""
+    merged = Counter()
+    for key, freq in counted.items():
+        if not isinstance(key, int) and hasattr(type(key), "__index__"):
+            try:
+                key = operator.index(key)
+            except (OverflowError, TypeError, ValueError):
+                pass
+        merged[key] += freq
+    return merged
+
+
 def _byte_bins(values: tuple | list) -> tuple[tuple[int, int], ...] | None:
-    """The (count, frequency) pairs of ``values``, a tuple or list of
-    integers in 0..255 whose probe holds few distinct values, or None.
+    """The sorted (count, frequency) pairs of ``values``, a tuple or list of
+    integers in 0..255 whose probe holds few distinct values, or None: ints,
+    each count distinct and every frequency positive, as CountHistogram
+    would store them.
 
     ``bytearray(values)`` is an exact check: it raises on any value that is
     not an integer (has no ``__index__``) or lies outside 0..255, as
@@ -183,4 +209,5 @@ def _byte_bins(values: tuple | list) -> tuple[tuple[int, int], ...] | None:
     rest = octets.translate(None, bytes(seen))
     if rest:
         bins += Counter(rest).items()
+    bins.sort()
     return tuple(bins)

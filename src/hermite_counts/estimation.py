@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 from .data import CountHistogram
 from .errors import DataError, DomainError, OverflowGuard
-from .model import _MAX_EXACT_ORDER, FactorialCumulants, HermiteParams, _doubles, _real, _whole
-from .pmf import _gradient, _gradient_parts, _loglik
+from .model import _MAX_EXACT_ORDER, FactorialCumulants, HermiteParams, _doubles, _real, _trusted_params, _whole
+from .pmf import _extends_by_zero, _gradient, _gradient_parts, _loglik
 
 #: Armijo line-search constants: sufficient-increase slope and step shrink.
 _ARMIJO_SLOPE = 1e-4
@@ -186,24 +186,26 @@ def _slice_pass(y, mean: float) -> list[float]:
     """One projection of ``y`` onto the slice, as :func:`_onto_slice` describes it."""
     keys = [v / i for i, v in enumerate(y, start=1)]
     order = sorted(range(len(y)), key=keys.__getitem__, reverse=True)
-    top, tau, wy, ww = 0, 0.0, 0.0, 0.0
+    top, tau, wy, ww, w_top = 0, 0.0, 0.0, 0.0, 0.0
     for j, k in enumerate(order):
         wy += (k + 1) * y[k]
-        ww += (k + 1) * (k + 1)
+        ww += (k + 1) * (k + 1)  # an exact integer sum
         tau_j = (wy - mean) / ww
         if j == 0 or keys[k] > tau_j:
-            top, tau = j, tau_j
+            top, tau, w_top = j, tau_j, ww
     active = order[: top + 1]
     z = [0.0] * len(y)
     for k in active:
         v = y[k] - tau * (k + 1)
         z[k] = v if v > 0.0 else 0.0
     # A long step cancels in that subtraction; a second pass on the same
-    # coordinates puts its rounding residue back on the slice.
-    shift = (math.fsum([(k + 1) * z[k] for k in active]) - mean) / math.fsum([(k + 1) * (k + 1) for k in active])
-    for k in active:
-        v = z[k] - shift * (k + 1)
-        z[k] = v if v > 0.0 else 0.0
+    # coordinates puts its rounding residue back on the slice.  A shift of
+    # 0.0 would hand back every z[k] >= 0 as it is.
+    shift = (math.fsum([(k + 1) * z[k] for k in active]) - mean) / w_top
+    if shift:
+        for k in active:
+            v = z[k] - shift * (k + 1)
+            z[k] = v if v > 0.0 else 0.0
     return z
 
 
@@ -234,7 +236,7 @@ def mle_iterates(
     ``tol`` must be finite and >= 0; it and ``max_iter`` are checked at the call.
     """
     iterates = _iterates(hist, init.a, _real(tol, "tol", "[0, inf)"), _whole(max_iter, "max_iter", 0))
-    return ((HermiteParams(tuple(a)), loglik, gnorm) for a, loglik, gnorm in iterates)
+    return ((_trusted_params(tuple(a)), loglik, gnorm) for a, loglik, gnorm, _ in iterates)
 
 
 def _checked_start(hist: CountHistogram, a: tuple[float, ...] | list[float]):
@@ -249,12 +251,15 @@ def _checked_start(hist: CountHistogram, a: tuple[float, ...] | list[float]):
     return mean, loglik, table
 
 
-def _iterates(hist: CountHistogram, init: tuple[float, ...], tol: float, max_iter: int):
+def _iterates(hist: CountHistogram, init: tuple[float, ...], tol: float, max_iter: int, start: tuple | None = None):
     """:func:`mle_iterates` from the coefficients ``init``, on a checked
-    ``tol`` and ``max_iter``; each iterate is a list of floats."""
+    ``tol`` and ``max_iter``, yielding (a, loglik, grad_norm, table): each
+    iterate a is a list of floats, and table the scaled pmf table at a.
+    ``start``, when given, is (loglik, table) at ``init``, finite, on a
+    histogram whose mean is not zero."""
     fsum = math.fsum
     a = list(init)
-    mean, loglik, table = _checked_start(hist, a)
+    mean, loglik, table = _checked_start(hist, a) if start is None else (hist.mean(), *start)
     w = range(1, len(a) + 1)
     start_mean = fsum([i * x for i, x in zip(w, a)])
     if abs(start_mean - mean) > 1e-10 * mean:
@@ -276,7 +281,7 @@ def _iterates(hist: CountHistogram, init: tuple[float, ...], tol: float, max_ite
         grad = [g - along * i for i, g in enumerate(grad, start=1)]
         d = [p - x for p, x in zip(_onto_slice([x + g for x, g in zip(a, grad)], mean), a)]
         gnorm = math.sqrt(fsum([v * v for v in d]))
-        yield a, loglik, gnorm
+        yield a, loglik, gnorm, table
         if gnorm <= tol * (1.0 + abs(loglik)) or taken == max_iter:
             return
         # Spectral (Barzilai-Borwein) trial step: plain steepest ascent
@@ -314,17 +319,24 @@ def _iterates(hist: CountHistogram, init: tuple[float, ...], tol: float, max_ite
 
 
 def _ascend(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: int) -> FitResult:
+    return _climb(hist, init, tol, max_iter)[0]
+
+
+def _climb(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: int, start: tuple | None = None):
+    """The fit :func:`_iterates` reaches from ``init`` (and ``start``), and
+    the scaled pmf table at it."""
     iterations = -1  # the first yield is the initial point, not a step
-    for a, loglik, gnorm in _iterates(hist, init.a, tol, max_iter):
+    for a, loglik, gnorm, table in _iterates(hist, init.a, tol, max_iter, start):
         iterations += 1
-    return FitResult(
-        params=HermiteParams(tuple(a)),
+    fit = FitResult(
+        params=_trusted_params(tuple(a)),
         loglik=loglik,
         converged=gnorm <= tol * (1.0 + abs(loglik)),
         iterations=iterations,
         grad_norm=gnorm,
         init=init,
     )
+    return fit, table
 
 
 def _ladder(hist: CountHistogram, r_max: int, tol: float, max_iter: int, fit: FitResult | None = None):
@@ -338,15 +350,19 @@ def _ladder(hist: CountHistogram, r_max: int, tol: float, max_iter: int, fit: Fi
     fit with a zero appended, a point of the larger family with the same
     likelihood.  Every start is therefore feasible and on the mean slice, and
     since the line search accepts no decrease, the logliks never fall along
-    the ladder.  ``tol`` and ``max_iter`` are checked by the caller.
+    the ladder.  A rung starts from the loglik and table the rung below
+    ended at, where pmf._extends_by_zero shows they are the start's own.
+    ``tol`` and ``max_iter`` are checked by the caller.
     """
+    table = None
     if fit is None:
-        start = HermiteParams((hist.mean(),))
-        _, loglik, _ = _checked_start(hist, start.a)
-        fit = FitResult(params=start, loglik=loglik, converged=True, iterations=0, grad_norm=0.0, init=start)
+        point = _trusted_params((hist.mean(),))
+        _, loglik, table = _checked_start(hist, point.a)
+        fit = FitResult(params=point, loglik=loglik, converged=True, iterations=0, grad_norm=0.0, init=point)
         yield fit
     for _ in range(fit.params.order, r_max):
-        fit = _ascend(hist, HermiteParams(fit.params.a + (0.0,)), tol, max_iter)
+        start = (fit.loglik, table) if table is not None and _extends_by_zero(table) else None
+        fit, table = _climb(hist, _trusted_params(fit.params.a + (0.0,)), tol, max_iter, start)
         yield fit
 
 
@@ -377,7 +393,7 @@ def fit_mle(
     tol, max_iter = _real(tol, "tol", "[0, inf)"), _whole(max_iter, "max_iter", 0)
     *_, fit = _ladder(hist, min(r, max(hist.max_count, 1)), tol, max_iter)
     if r > fit.params.order:
-        jump = _ascend(hist, HermiteParams(fit.params.a + (0.0,) * (r - fit.params.order)), tol, 0)
+        jump = _ascend(hist, _trusted_params(fit.params.a + (0.0,) * (r - fit.params.order)), tol, 0)
         settled = jump.grad_norm < 0.5 * tol * (1.0 + abs(jump.loglik))
         *_, fit = [jump] if settled else _ladder(hist, r, tol, max_iter, fit)
     return fit

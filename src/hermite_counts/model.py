@@ -118,6 +118,15 @@ class HermiteParams:
         return all(x == 0.0 for x in self.a)
 
 
+def _trusted_params(a: tuple[float, ...]) -> HermiteParams:
+    """HermiteParams holding ``a`` without the checks: for a non-empty tuple
+    of finite floats >= 0 that the package computed itself, which the
+    checks would hand back as it is."""
+    params = object.__new__(HermiteParams)
+    object.__setattr__(params, "a", a)
+    return params
+
+
 @dataclass(frozen=True, slots=True)
 class FactorialCumulants:
     """Factorial cumulants kappa_(1)..kappa_(r).

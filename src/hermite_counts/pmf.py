@@ -205,6 +205,22 @@ def _rescale(m: list[float], e: list[int], k: int, r: int, up: bool) -> int:
     return shift
 
 
+def _extends_by_zero(table: tuple[list[float], list[int]]) -> bool:
+    """Whether the scaled table (m, e) of order-r coefficients a is, bit for
+    bit, also the table of a with a zero appended.
+
+    The zero adds an exact 0.0 to every step, so only the rescale tests can
+    differ, and only from step r + 1 on, where order r + 1 reads one more
+    mantissa.  No rescale from there on leaves every e[k] equal (one at step
+    k > r shifts e[k - r] for good); with every mantissa 0 or at least
+    2**-_SHIFT as well, no mantissa below 2**-_SHIFT is nonzero, so the
+    larger window triggers no rescale either.
+    """
+    m, e = table
+    lo = 2.0**-_SHIFT
+    return e.count(e[0]) == len(e) and (min(m) >= lo or all(x >= lo for x in m if x))
+
+
 def _guarded(params: HermiteParams) -> tuple[float, ...]:
     """The coefficients of ``params``, refused when their mean overflows the engine."""
     terms = [i * c for i, c in enumerate(params.a, start=1)]

@@ -21,18 +21,22 @@ next_float of one SplitMix64, used in order:
 
 The j-th output of SplitMix64(seed) depends only on seed + j * gamma, so
 both samplers compute their uniforms in numpy blocks from that closed form
-(``_uniforms``), at most ``_BLOCK`` at a time.  Each Poisson rate gets one
-table, built on first use and kept: a guide-indexed cdf up to rate 30, the
-rejection constants and an lgamma table above.  When every component of
-``sample_hermite`` inverts, draw d's component c reads uniform d*r + c (r
-the number of a_i > 0), and a block is one array of uniforms searched in
-each component's table.  A rejection attempt uses one or two uniforms, so a
-model with a component above 30 evaluates, over a window of uniforms, the
-attempt that would start at each position, and walks its draws through
-the accepting ones.  The thinning layout is fixed by the counts alone, so
-``thin_sample`` works on whole blocks of uniforms.  ``sample_poisson`` and
-``sample_binomial``, drawing from one SplitMix64, are the scalar
-definitions the two reproduce bit for bit.
+(``_uniforms``), at most ``_BLOCK`` at a time.  They keep each uniform in
+its integer form, v = output >> 11 with next_float = v * 2**-53, and
+compare it with a probability c through the integer key ceil(c * 2**53):
+c <= v * 2**-53 exactly where key <= v.  Only the rejection regime's
+attempts are evaluated on floats.  Each Poisson rate gets one table, built
+on first use and kept: the keys of its cdf with a guide table up to rate
+30, the rejection constants and an lgamma table above.  When every
+component of ``sample_hermite`` inverts, draw d's component c reads
+uniform d*r + c (r the number of a_i > 0), and a block is one array of
+uniforms searched in each component's table.  A rejection attempt uses
+one or two uniforms, so a model with a component above 30 evaluates, over
+a window of uniforms, the attempt that would start at each position, and
+walks its draws through the accepting ones.  The thinning layout is fixed
+by the counts alone, so ``thin_sample`` works on whole blocks of uniforms.
+``sample_poisson`` and ``sample_binomial``, drawing from one SplitMix64,
+are the scalar definitions the two reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -65,8 +69,9 @@ _BERNOULLI_MAX = 64
 #: Poisson component, thinning at most this many in all.
 _BLOCK = 1 << 12
 
-#: Buckets of the guide table that indexes each inversion cdf.
-_GUIDE = 1 << 10
+#: The guide table that indexes each inversion cdf has 2**_GUIDE_BITS
+#: buckets: a uniform's top bits.
+_GUIDE_BITS = 10
 
 #: A rejection attempt evaluated in numpy whose floor or accept decision lies
 #: within this relative distance of its threshold is redone with ``math``.
@@ -250,42 +255,49 @@ def _inversion_cdf(rate: float) -> list[float]:
     return cdf
 
 
+def _keys(cdf: list[float]) -> list[int]:
+    """ceil(c * 2**53) for each entry c of ``cdf``: c <= v * 2**-53, for a
+    53-bit integer uniform v, exactly where key <= v (c * 2**53 is exact)."""
+    return [math.ceil(c * 2.0**53) for c in cdf]
+
+
 @lru_cache(maxsize=64)
 def _inversion_table(rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_inversion_cdf(rate) with its guide table (Chen & Asau 1974), all
-    read-only arrays: (cdf, lo, slow).
+    """The _keys of _inversion_cdf(rate) with their guide table (Chen & Asau
+    1974), all read-only int64 or bool arrays: (keys, lo, slow).
 
-    Bucket b of the ``_GUIDE`` buckets holds the keys in [b, b + 1) / _GUIDE,
-    and ``lo[b]`` counts the entries <= b / _GUIDE.  Where at most one entry
-    lies inside the bucket, a key u's index is lo[b] + (cdf[lo[b]] <= u): an
-    entry at or past the bucket's end lies above every key in it.  ``slow``
-    marks the buckets with more entries inside, or holding the last one.
+    Bucket b holds the uniforms v with v >> (53 - _GUIDE_BITS) == b, and
+    ``lo[b]`` counts the keys <= the bucket's first v.  Where at most one key
+    lies inside the bucket, v's index is lo[b] + (keys[lo[b]] <= v): a key at
+    or past the bucket's end lies above every v in it.  ``slow`` marks the
+    buckets with more keys inside, or holding the last one.
     """
     import numpy as np
 
-    cdf = _inversion_cdf(rate)
-    last = int(cdf[-1] * _GUIDE)  # keys at or above the last entry map to the top index
-    lo = [bisect_right(cdf, b / _GUIDE) for b in range(_GUIDE)]
-    slow = [b >= last or bisect_left(cdf, (b + 1) / _GUIDE) - lo[b] > 1 for b in range(_GUIDE)]
-    arrays = np.array(cdf), np.array(lo), np.array(slow)
+    keys = _keys(_inversion_cdf(rate))
+    shift = 53 - _GUIDE_BITS
+    last = keys[-1] >> shift  # a v at or above the last key maps to the top index
+    lo = [bisect_right(keys, b << shift) for b in range(1 << _GUIDE_BITS)]
+    slow = [b >= last or bisect_left(keys, (b + 1) << shift) - lo[b] > 1 for b in range(1 << _GUIDE_BITS)]
+    arrays = np.array(keys, dtype=np.int64), np.array(lo, dtype=np.int64), np.array(slow)
     for array in arrays:
         array.flags.writeable = False
     return arrays
 
 
-def _invert(table: tuple[np.ndarray, np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
-    """min(bisect_right(cdf, u), len(cdf) - 1) for each key of ``u`` in
-    [0, 1), from the _inversion_table of the cdf; a key in a slow bucket is
-    searched by bisection."""
+def _invert(table: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
+    """min(bisect_right(cdf, v * 2**-53), len(cdf) - 1) for each 53-bit
+    integer uniform of ``v``, from the _inversion_table of the cdf; a uniform
+    in a slow bucket is searched by bisection."""
     import numpy as np
 
-    cdf, lo, slow = table
-    b = (u * _GUIDE).astype(np.intp)  # exact: _GUIDE is a power of 2
+    keys, lo, slow = table
+    b = v >> (53 - _GUIDE_BITS)
     k = lo.take(b)
-    k += cdf.take(k) <= u
+    k += keys.take(k) <= v
     hard = np.flatnonzero(slow.take(b))
     if hard.size:
-        k[hard] = np.minimum(np.searchsorted(cdf, u[hard], "right"), len(cdf) - 1)
+        k[hard] = np.minimum(np.searchsorted(keys, v[hard], "right"), len(keys) - 1)
     return k
 
 
@@ -387,10 +399,14 @@ def _inversion_blocks(active: list[tuple[int, float]], n: int, seed: int) -> Ite
     tables = [(i, _inversion_table(rate)) for i, rate in active]
     for lo in range(0, n, _BLOCK):
         m = min(_BLOCK, n - lo)
-        u = _uniforms(seed, lo * r, m * r).reshape(m, r)
+        v = _uniforms(seed, lo * r, m * r)
+        if r == 1 and tables[0][0] == 1:  # a Poisson draw is its one component
+            yield _invert(tables[0][1], v)
+            continue
+        v = v.reshape(m, r)
         total = np.zeros(m, dtype=np.int64)
         for c, (i, table) in enumerate(tables):
-            total += i * _invert(table, u[:, c])
+            total += i * _invert(table, v[:, c])
         yield total
 
 
@@ -413,14 +429,15 @@ def _rejection_blocks(active: list[tuple[int, float]], n: int, seed: int) -> Ite
     start, owed, width, stalled = 0, n, 0, False
     while owed:
         width = 2 * width if stalled else min(_BLOCK, math.ceil(owed * per_draw) + 4)
-        u = _uniforms(seed, start, width + 1)
+        v = _uniforms(seed, start, width + 1)
+        u = v * 2.0**-53
         dead = width + 2
         columns = {}
         for rate, table in tables.items():
             if rate > _POISSON_INVERSION_MAX:
                 columns[rate] = _rejection_window(table, u)
             else:
-                columns[rate] = [1] * width + [2, 1, 0], _invert(table, u[:width]).tolist() + [0, 0, 0]
+                columns[rate] = [1] * width + [2, 1, 0], _invert(table, v[:width]).tolist() + [0, 0, 0]
         walk = [(i, *columns[rate]) for i, rate in active]
         draws, p = [], 0
         for _ in range(owed):
@@ -448,7 +465,8 @@ def sample_hermite(params: HermiteParams, n: int, seed: int) -> SampleBatch:
 
 
 def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs start+1 .. start+count of SplitMix64(seed), as next_float maps them.
+    """Outputs start+1 .. start+count of SplitMix64(seed) as int64 53-bit
+    integers v = z >> 11, the uniforms v * 2**-53 that next_float returns.
 
     The j-th output mixes seed + j * gamma (mod 2**64), so any stretch of
     the stream is computed without the outputs before it.
@@ -465,16 +483,12 @@ def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     z >>= np.uint64(11)
-    u = z.astype(np.float64)
-    u *= 2.0**-53
-    return u
+    return z.view(np.int64)  # below 2**53: the same bits as int64
 
 
-def _binomial_cdf(trials: int, q: float, u_max: float) -> np.ndarray:
+def _binomial_cdf(trials: int, q: float, u_max: float) -> list[float]:
     """sample_binomial's running cdf for ``trials``, accumulated in its order,
     up to the first entry above ``u_max`` or to index ``trials``."""
-    import numpy as np
-
     term = cum = (1.0 - q) ** trials
     ratio = q / (1.0 - q)
     cdf = [cum]
@@ -484,7 +498,7 @@ def _binomial_cdf(trials: int, q: float, u_max: float) -> np.ndarray:
         k += 1
         cum += term
         cdf.append(cum)
-    return np.array(cdf)
+    return cdf
 
 
 def _thin_chunk(x: np.ndarray, p: float, seed: int, used: int) -> tuple[np.ndarray, int]:
@@ -496,6 +510,8 @@ def _thin_chunk(x: np.ndarray, p: float, seed: int, used: int) -> tuple[np.ndarr
 
     flip = p > 0.5
     q = 1.0 - p if flip else p
+    # a trial u < p is v < ceil(p * 2**53) on the integer uniform v
+    key_p, key_q = _keys([p, q])
     large = x > _BERNOULLI_MAX
     sizes = sorted(set(x[large].tolist()))
     underflows = np.array([(1.0 - q) ** t == 0.0 for t in sizes], dtype=bool)
@@ -507,22 +523,22 @@ def _thin_chunk(x: np.ndarray, p: float, seed: int, used: int) -> tuple[np.ndarr
     end = int(bounds[-1])
     below_p = np.zeros(len(bounds), dtype=np.int64)  # uniforms < p before each bound
     below_q = np.zeros(len(bounds), dtype=np.int64) if flip else below_p
-    first = np.zeros(len(x))  # each count's first uniform
+    first = np.zeros(len(x), dtype=np.int64)  # each count's first uniform
     seen_p = seen_q = 0
     for start in range(used, end, _BLOCK):
-        u = _uniforms(seed, start, min(_BLOCK, end - start))
-        stop = start + len(u)
+        v = _uniforms(seed, start, min(_BLOCK, end - start))
+        stop = start + len(v)
         lo, hi = np.searchsorted(bounds, start, "left"), np.searchsorted(bounds, stop, "right")
         local = bounds[lo:hi] - start
-        cum_p = np.concatenate(([0], np.cumsum(u < p)))
+        cum_p = np.concatenate(([0], np.cumsum(v < key_p)))
         below_p[lo:hi] = seen_p + cum_p[local]
         seen_p += int(cum_p[-1])
         if flip:
-            cum_q = np.concatenate(([0], np.cumsum(u < q)))
+            cum_q = np.concatenate(([0], np.cumsum(v < key_q)))
             below_q[lo:hi] = seen_q + cum_q[local]
             seen_q += int(cum_q[-1])
         b = np.searchsorted(bounds[:-1], stop, "left")
-        first[lo:b] = u[bounds[lo:b] - start]
+        first[lo:b] = v[bounds[lo:b] - start]
     thinned = np.diff(below_p)
     if flip:
         thinned[exhaustive] = x[exhaustive] - np.diff(below_q)[exhaustive]
@@ -532,8 +548,8 @@ def _thin_chunk(x: np.ndarray, p: float, seed: int, used: int) -> tuple[np.ndarr
     for group in np.split(order, np.flatnonzero(np.diff(x[order])) + 1):
         if group.size:
             trials = int(x[group[0]])
-            cdf = _binomial_cdf(trials, q, float(first[group].max()))
-            k = np.minimum(np.searchsorted(cdf, first[group], "right"), trials)
+            keys = _keys(_binomial_cdf(trials, q, int(first[group].max()) * 2.0**-53))
+            k = np.minimum(np.searchsorted(np.array(keys, dtype=np.int64), first[group], "right"), trials)
             thinned[group] = trials - k if flip else k
     return thinned, end
 

@@ -49,7 +49,11 @@ class SelectionTrace:
 
 def lrt_statistic(loglik_full: float, loglik_null: float) -> float:
     """D = max(0, 2*(l_full - l_null)); tiny negatives are optimizer noise."""
-    full, null = _real(loglik_full, "loglik_full"), _real(loglik_null, "loglik_null")
+    return _statistic(_real(loglik_full, "loglik_full"), _real(loglik_null, "loglik_null"))
+
+
+def _statistic(full: float, null: float) -> float:
+    """:func:`lrt_statistic` of two finite floats."""
     statistic = max(0.0, 2.0 * (full - null))
     if statistic == math.inf:
         raise OverflowGuard(
@@ -65,7 +69,11 @@ def lrt_pvalue(statistic: float) -> float:
     Exactly zero hits the atom (p = 1); positive values get half the
     chi-square(1) survival function, erfc(sqrt(D/2))/2.
     """
-    statistic = _real(statistic, "statistic", "[0, inf)")
+    return _pvalue(_real(statistic, "statistic", "[0, inf)"))
+
+
+def _pvalue(statistic: float) -> float:
+    """:func:`lrt_pvalue` of a float in [0, inf)."""
     if statistic == 0.0:
         return 1.0
     return 0.5 * math.erfc(math.sqrt(statistic / 2.0))
@@ -94,10 +102,12 @@ def select_order(
     steps: list[LadderStep] = []
     chosen = 1
     for fit_alt in ladder:
-        statistic = lrt_statistic(fit_alt.loglik, fits[-1].loglik)
+        # fit logliks are finite floats: the ladder refuses a start of zero
+        # likelihood and accepts no decrease
+        statistic = _statistic(fit_alt.loglik, fits[-1].loglik)
         fits.append(fit_alt)
         alt_order = len(fits)
-        p_value = lrt_pvalue(statistic)
+        p_value = _pvalue(statistic)
         rejected = p_value < alpha
         steps.append(
             LadderStep(alt_order=alt_order, statistic=statistic, p_value=p_value, rejected=rejected)

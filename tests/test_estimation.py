@@ -65,15 +65,32 @@ class _Three(enum.IntEnum):
     THREE = 3
 
 
+class _IndexOnly:
+    """A value with ``__index__`` alone: it hashes and compares by identity."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"_IndexOnly({self.value})"
+
+
 def counted_bins(values):
     """The bins, or the DataError message, of the plain Counter route: values
-    that do not all hash are counted again through operator.index."""
+    that do not all hash are counted again through operator.index, and a
+    value that is not an int but has __index__ counts as the int it gives."""
     try:
         try:
             counted = Counter(values)
         except TypeError:
             counted = Counter(map(operator.index, values))
-        return CountHistogram(tuple(counted.items())).bins
+        merged = Counter()
+        for value, freq in counted.items():
+            merged[operator.index(value) if not isinstance(value, int) and hasattr(value, "__index__") else value] += freq
+        return CountHistogram(tuple(merged.items())).bins
     except TypeError:
         return "observations must be an iterable of integers"
     except DataError as exc:
@@ -97,6 +114,7 @@ ODD_VALUES = st.one_of(
     st.integers(-5, 300).map(np.array),
     st.sampled_from([0.0, 2.0, 2.5]).map(np.array),
     st.just(_Three.THREE),
+    st.integers(-5, 300).map(_IndexOnly),
     st.sampled_from([2.0, 2.5, -1, -300, None, "3", "x"]),
 )
 
@@ -232,6 +250,15 @@ class TestCountHistogram:
         # bytes() of a buffer reads its raw memory: an int64 array of 0..8
         # would count seven zero bytes per value
         assert observed_bins(build()) == counted_bins(build())
+
+    @pytest.mark.parametrize("length", [3, _BYTE_PATH_MIN + 44])
+    @pytest.mark.parametrize("value", [3, 300])
+    def test_a_value_with_only_an_index_counts_as_its_integer(self, value, length):
+        # the byte path reads __index__; Counter kept such a value apart from
+        # its integer, and CountHistogram refused it, at fewer than 256 values
+        values = [_IndexOnly(value), value] + [k % 4 for k in range(length - 2)]
+        expected = tuple(sorted(Counter([value, value] + values[2:]).items()))
+        assert observed_bins(values) == counted_bins(values) == expected
 
     def test_representation_invariance(self):
         raw = CountHistogram.from_observations([3, 1, 1, 0, 3, 3])
@@ -496,7 +523,9 @@ class TestFitMle:
 
     def test_a_trial_equal_to_the_one_just_rejected_is_not_evaluated(self, monkeypatch):
         # a long step projects onto the same vertex of the slice for several
-        # halvings; evaluating each repeat made 36 likelihood calls here
+        # halvings; evaluating each repeat made 36 likelihood calls here, 25
+        # with the rungs 2 and 3 starts evaluated rather than taken from the
+        # rung below
         import hermite_counts.estimation as estimation
 
         calls = []
@@ -504,7 +533,7 @@ class TestFitMle:
         monkeypatch.setattr(estimation, "_loglik", lambda a, hist: calls.append(a) or loglik(a, hist))
         hist = CountHistogram.from_observations(sample_hermite(HermiteParams((1.0, 1.0)), 10_000, seed=1).values)
         trace = select_order(hist, 3, 0.05)
-        assert len(calls) == 25
+        assert len(calls) == 23
         assert [f.iterations for f in trace.fits] == [0, 7, 7]
         assert trace.fits[2].loglik == -21120.335440502266
 

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from hermite_counts import pmf
 from hermite_counts import (
     CountHistogram,
     DataError,
@@ -271,6 +274,36 @@ class TestAdaptivePmf:
         table = adaptive_pmf(HermiteParams(a), eps)
         assert table.k_max == k_max
         assert table.tail_mass < eps <= table.truncate(k_max - 1).tail_mass
+
+
+def table_bits(table):
+    m, e = table
+    return [x.hex() for x in m], e
+
+
+class TestExtensionByZero:
+    """The ladder starts rung r + 1 from rung r's final table where
+    pmf._extends_by_zero says it is the table with a zero appended."""
+
+    @given(
+        a=st.lists(st.sampled_from([0.0, 1e-300, 1e-5, 0.3, 2.0, 40.0, 500.0, 800.0, 3000.0]), min_size=1, max_size=5),
+        k_max=st.integers(0, 400),
+    )
+    @example(a=[500.0], k_max=10)  # rescaled at step 1, which order 2 repeats
+    @example(a=[0.0, 0.0, 800.0], k_max=40)  # zeros between the nonzero mantissas
+    @example(a=[2.0], k_max=2_000)  # rescaled past step 1
+    def test_said_to_extend_by_zero_only_where_it_does(self, a, k_max):
+        table = pmf._scaled_pmf(a, k_max)
+        padded = pmf._scaled_pmf(a + [0.0], k_max)
+        if pmf._extends_by_zero(table):
+            assert table_bits(padded) == table_bits(table)
+
+    @pytest.mark.parametrize(
+        "a, k_max, extends",
+        [([500.0], 10, True), ([1.0, 1.0], 30, True), ([0.0, 2.0], 30, True), ([2.0], 2_000, False)],
+    )
+    def test_the_test_holds_where_no_rescale_follows_step_r(self, a, k_max, extends):
+        assert pmf._extends_by_zero(pmf._scaled_pmf(a, k_max)) is extends
 
 
 class TestLogLikelihood:

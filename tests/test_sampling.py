@@ -404,18 +404,37 @@ GUIDE_RATES = (1e-3, 0.1, 0.25, 1.0, 2.0, 7.3, 29.5, 30.0)
 LAST_UNIFORM = 1.0 - 2.0**-53
 
 
+#: The largest 53-bit integer uniform, which stands for LAST_UNIFORM.
+LAST_V = 2**53 - 1
+
+
+def key_neighbours(cdf):
+    """v = K - 1, K and K + 1 for the integer key K = ceil(c * 2**53) of each
+    entry c, inside the uniforms' range [0, 2**53): where a key rounded the
+    wrong way, the uniform at its edge inverts to the wrong index."""
+    return [min(max(math.ceil(c * 2.0**53) + d, 0), LAST_V) for c in cdf for d in (-1, 0, 1)]
+
+
+def scripted_stream(monkeypatch, v):
+    """Make the samplers read the 53-bit integers ``v`` as their stream; returns
+    a ScriptedUniforms holding the same uniforms, for the scalar definitions."""
+    v = np.array(v, dtype=np.int64)
+    monkeypatch.setattr(sampling, "_uniforms", lambda seed, start, count: v[start : start + count])
+    return ScriptedUniforms((v * 2.0**-53).tolist())
+
+
 class TestInversionTables:
     @pytest.mark.parametrize("rate", GUIDE_RATES, ids=str)
     def test_guide_search_matches_bisection_of_the_full_cdf(self, rate):
+        # uniforms are 53-bit integers v, standing for v * 2**-53
         cdf = sampling._inversion_cdf(rate)
         top = len(cdf) - 1
-        entries = [min(c, LAST_UNIFORM) for c in cdf]
-        keys = [0.0, LAST_UNIFORM, *entries]
-        keys += [min(max(np.nextafter(c, side), 0.0), LAST_UNIFORM) for c in entries for side in (0.0, 2.0)]
-        keys += [b / sampling._GUIDE for b in range(sampling._GUIDE)]
+        shift = 53 - sampling._GUIDE_BITS
+        keys = [0, LAST_V, *key_neighbours(cdf)]
+        keys += [(b << shift) + d for b in range(1 << sampling._GUIDE_BITS) for d in (-1, 0) if (b << shift) + d >= 0]
         keys += sampling._uniforms(GUIDE_RATES.index(rate), 0, 5000).tolist()
-        found = sampling._invert(sampling._inversion_table(rate), np.array(keys))
-        assert found.tolist() == [min(bisect_right(cdf, u), top) for u in keys]
+        found = sampling._invert(sampling._inversion_table(rate), np.array(keys, dtype=np.int64))
+        assert found.tolist() == [min(bisect_right(cdf, v * 2.0**-53), top) for v in keys]
 
     def test_tables_are_cached_and_read_only(self):
         table = sampling._inversion_table(2.0)
@@ -426,6 +445,37 @@ class TestInversionTables:
                 array[0] = 0
         lgamma = sampling._rejection_table(40.0)[-1]
         assert sampling._rejection_table(40.0)[-1] is lgamma and not lgamma.flags.writeable
+
+
+class TestIntegerKeys:
+    """Each comparison of a uniform with a probability is made on integer
+    keys; uniforms at every key's edges must decide as the floats do."""
+
+    @pytest.mark.parametrize("p", [0.375, 0.3, 1.0 - 0.3], ids=["p-times-2**53-whole", "p-times-2**53-not-whole", "flip"])
+    def test_bernoulli_trials_at_the_key_of_p(self, monkeypatch, p):
+        assert (0.375 * 2.0**53).is_integer() and not (0.3 * 2.0**53).is_integer()
+        # trials u < p, and u < q = 1 - p when p > 0.5, at v = K - 1, K, K + 1
+        # in turn: counts of 3 (literal trials) and 2,500 (trials past the
+        # underflow of (1 - q)**x, which read u < q)
+        keys = key_neighbours([p, 1.0 - p])
+        counts = (3,) * len(keys) + (2_500,)
+        v = keys * (sum(counts) // len(keys) + 1)
+        rng = scripted_stream(monkeypatch, v)
+        expected = tuple(sample_binomial(x, p, rng) for x in counts)
+        assert thin_sample(SampleBatch(counts, seed=0), p, 0).values == expected
+
+    @pytest.mark.parametrize("p", [0.3, 0.8])
+    def test_binomial_inversion_at_its_keys(self, monkeypatch, p):
+        # a count of 100 above _BERNOULLI_MAX takes one uniform, inverted in
+        # the Binomial(100, q) cdf; one count per uniform at each key's edges
+        q = min(p, 1.0 - p)
+        cdf = sampling._binomial_cdf(100, q, 1.0)
+        v = [0, LAST_V, *key_neighbours(cdf)]
+        rng = scripted_stream(monkeypatch, v)
+        counts = (100,) * len(v)
+        expected = tuple(sample_binomial(x, p, rng) for x in counts)
+        assert thin_sample(SampleBatch(counts, seed=0), p, 0).values == expected
+        assert rng.used == len(v)
 
 
 class TestRejectionWindows:
@@ -441,7 +491,7 @@ class TestRejectionWindows:
     def test_numpy_libm_lies_far_inside_the_margin(self):
         # the window's log, exp and square against math's on their whole domain:
         # log((1 - u) / u) for 53-bit u in (0, 1), and exp(y) for y in [-37, 37]
-        u = np.concatenate(([2.0**-53, LAST_UNIFORM], sampling._uniforms(3, 0, 10**6 - 2)))
+        u = np.concatenate(([2.0**-53, LAST_UNIFORM], sampling._uniforms(3, 0, 10**6 - 2) * 2.0**-53))
         u = u[u > 0.0]
         odds = (1.0 - u) / u
         y = np.linspace(-37.0, 37.0, 10**6)
