@@ -36,7 +36,9 @@ a window of uniforms, the attempt that would start at each position, and
 walks its draws through the accepting ones.  The thinning layout is fixed
 by the counts alone, so ``thin_sample`` works on whole blocks of uniforms.
 ``sample_poisson`` and ``sample_binomial``, drawing from one SplitMix64,
-are the scalar definitions the two reproduce bit for bit.
+are the scalar definitions the two reproduce bit for bit.  They search the
+same accumulated cdfs as the tables (``_inversion_cdf``, ``_binomial_cdf``),
+lazily: each accumulation stops at the first entry above its uniform.
 """
 
 from __future__ import annotations
@@ -127,7 +129,10 @@ class SampleBatch:
     def mean(self) -> float:
         if not self.values:
             raise DataError("an empty batch has no mean")
-        return sum(self.values) / len(self.values)
+        try:
+            return sum(self.values) / len(self.values)
+        except OverflowError:
+            raise OverflowGuard("the batch mean leaves the double range") from None
 
 
 def _atkinson(rate: float) -> tuple:
@@ -159,42 +164,6 @@ def _atkinson(rate: float) -> tuple:
     return attempt, alpha, beta, k0, log_rate
 
 
-def _poisson_sampler(rate: float):
-    """Check ``rate`` once; return draw(uniform) -> int, sample_poisson's
-    method with its per-rate constants precomputed, reading its uniforms from
-    calls to ``uniform()``."""
-    rate = _real(rate, "Poisson rate", "[0, inf)")
-    if rate == 0.0:
-        return lambda uniform: 0
-    if rate <= _POISSON_INVERSION_MAX:
-        first = math.exp(-rate)
-
-        # At rates up to 30 the terms underflow to 0 by k = 430, which ends
-        # the search even where the rounded cdf stays below u.
-        def invert(uniform: Callable[[], float]) -> int:
-            u = uniform()
-            k = 0
-            term = cum = first
-            while u >= cum:
-                k += 1
-                term *= rate / k
-                cum += term
-                if term == 0.0:
-                    break
-            return k
-
-        return invert
-    attempt = _atkinson(rate)[0]
-
-    def reject(uniform: Callable[[], float]) -> int:
-        while True:
-            n = attempt(uniform(), uniform)[1]
-            if n >= 0:
-                return n
-
-    return reject
-
-
 def sample_poisson(rate: float, rng: SplitMix64) -> int:
     """One Poisson draw using the supplied generator state.
 
@@ -203,7 +172,16 @@ def sample_poisson(rate: float, rng: SplitMix64) -> int:
     (c = 0.767 - 3.36/rate, beta = pi/sqrt(3 rate)), which needs no
     normal-approximation shortcut and stays exact for large rates.
     """
-    return _poisson_sampler(rate)(rng.next_float)
+    rate = _real(rate, "Poisson rate", "[0, inf)")
+    if rate == 0.0:
+        return 0
+    if rate <= _POISSON_INVERSION_MAX:
+        return len(_inversion_cdf(rate, rng.next_float())) - 1
+    attempt = _atkinson(rate)[0]
+    while True:
+        n = attempt(rng.next_float(), rng.next_float)[1]
+        if n >= 0:
+            return n
 
 
 def sample_binomial(trials: int, p: float, rng: SplitMix64) -> int:
@@ -223,31 +201,23 @@ def sample_binomial(trials: int, p: float, rng: SplitMix64) -> int:
         return sum(rng.next_float() < p for _ in range(trials))
     flip = p > 0.5
     q = 1.0 - p if flip else p
-    base = (1.0 - q) ** trials
-    if base == 0.0:
+    if (1.0 - q) ** trials == 0.0:
         # (1-q)**trials underflowed; fall back to exact Bernoulli trials.
         hits = sum(rng.next_float() < q for _ in range(trials))
         return trials - hits if flip else hits
-    u = rng.next_float()
-    k = 0
-    term = base
-    cum = term
-    ratio = q / (1.0 - q)
-    while u >= cum and k < trials:
-        term *= ratio * (trials - k) / (k + 1.0)
-        k += 1
-        cum += term
+    k = len(_binomial_cdf(trials, q, rng.next_float())) - 1
     return trials - k if flip else k
 
 
-def _inversion_cdf(rate: float) -> list[float]:
+def _inversion_cdf(rate: float, u_max: float) -> list[float]:
     """sample_poisson's running cdf at 0 < ``rate`` <= 30, accumulated in its
-    order, through the entry where the term underflows to 0.  Its search
-    returns min(bisect_right(cdf, u), len(cdf) - 1)."""
+    order, up to the first entry above ``u_max`` or to the one where the term
+    underflows to 0 (by k = 430, though the rounded cdf may stay below 1).
+    Its search returns min(bisect_right(cdf, u), len(cdf) - 1)."""
     term = cum = math.exp(-rate)
     cdf = [cum]
     k = 0
-    while term != 0.0:
+    while u_max >= cum and term != 0.0:
         k += 1
         term *= rate / k
         cum += term
@@ -274,7 +244,7 @@ def _inversion_table(rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     import numpy as np
 
-    keys = _keys(_inversion_cdf(rate))
+    keys = _keys(_inversion_cdf(rate, math.inf))
     shift = 53 - _GUIDE_BITS
     last = keys[-1] >> shift  # a v at or above the last key maps to the top index
     lo = [bisect_right(keys, b << shift) for b in range(1 << _GUIDE_BITS)]

@@ -232,6 +232,11 @@ class TestThinSample:
         with pytest.raises(DataError, match="empty"):
             thin_sample(SampleBatch((), seed=0), 0.5, seed=1).mean()
 
+    @pytest.mark.parametrize("values", [(10**400,), (-(10**400), 0)], ids=["above", "below"])
+    def test_batch_mean_beyond_the_double_range_is_refused(self, values):
+        with pytest.raises(OverflowGuard, match="batch mean"):
+            SampleBatch(values, seed=0).mean()
+
     def test_bool_and_numpy_integer_counts_thin_as_ints(self):
         counts = (True, np.int32(70), np.uint64(3), False, np.int64(200))
         ints = SampleBatch(tuple(int(x) for x in counts), seed=0)
@@ -427,7 +432,7 @@ class TestInversionTables:
     @pytest.mark.parametrize("rate", GUIDE_RATES, ids=str)
     def test_guide_search_matches_bisection_of_the_full_cdf(self, rate):
         # uniforms are 53-bit integers v, standing for v * 2**-53
-        cdf = sampling._inversion_cdf(rate)
+        cdf = sampling._inversion_cdf(rate, math.inf)
         top = len(cdf) - 1
         shift = 53 - sampling._GUIDE_BITS
         keys = [0, LAST_V, *key_neighbours(cdf)]
@@ -445,6 +450,77 @@ class TestInversionTables:
                 array[0] = 0
         lgamma = sampling._rejection_table(40.0)[-1]
         assert sampling._rejection_table(40.0)[-1] is lgamma and not lgamma.flags.writeable
+
+
+def poisson_by_terms(rate, u):
+    """sample_poisson's inversion at 0 < rate <= 30, written out term by term
+    independently of the library's accumulator: (the count u inverts to, the
+    cdf entries accumulated on the way).  At u = inf it runs until the term
+    underflows to 0, through the whole rounded cdf."""
+    k = 0
+    term = cum = math.exp(-rate)
+    cdf = [cum]
+    while u >= cum:
+        k += 1
+        term *= rate / k
+        cum += term
+        cdf.append(cum)
+        if term == 0.0:
+            break
+    return k, cdf
+
+
+def binomial_by_terms(trials, q, u):
+    """sample_binomial's Binomial(trials, q) inversion written out the same
+    way, where (1 - q)**trials does not underflow; at u = inf it runs to
+    index ``trials``."""
+    k = 0
+    term = cum = (1.0 - q) ** trials
+    cdf = [cum]
+    ratio = q / (1.0 - q)
+    while u >= cum and k < trials:
+        term *= ratio * (trials - k) / (k + 1.0)
+        k += 1
+        cum += term
+        cdf.append(cum)
+    return k, cdf
+
+
+def entry_edges(cdf):
+    """0, the largest uniform, and every entry of ``cdf`` with its float
+    neighbours, as uniforms in [0, 1): a search that stops one entry early or
+    late draws another count at one of them."""
+    edges = {0.0, LAST_UNIFORM}
+    for c in cdf:
+        edges.update((math.nextafter(c, 0.0), c, math.nextafter(c, 2.0)))
+    return sorted(u for u in edges if 0.0 <= u < 1.0)
+
+
+#: Counts and fractions of the Binomial inversion branch checked against the
+#: term-by-term reference: the sizes 65, 200, 1,000 and 5,000 at p = 0.3 and
+#: 0.8, where (1 - q)**x does not underflow (at 5,000 it underflows for both).
+INVERTED_COUNTS = [
+    (x, p) for x in (65, 200, 1_000, 5_000) for p in (0.3, 0.8) if (1.0 - min(p, 1.0 - p)) ** x > 0.0
+]
+
+
+class TestAccumulationReference:
+    """The scalar definitions and the block tables share one accumulator per
+    law, so these compare it with the loops written out above."""
+
+    @pytest.mark.parametrize("rate", GUIDE_RATES, ids=str)
+    def test_sample_poisson_inverts_as_the_term_by_term_loop(self, rate):
+        for u in entry_edges(poisson_by_terms(rate, math.inf)[1]):
+            rng = ScriptedUniforms([u])
+            assert (sample_poisson(rate, rng), rng.used) == (poisson_by_terms(rate, u)[0], 1), u
+
+    @pytest.mark.parametrize("trials, p", INVERTED_COUNTS, ids=str)
+    def test_sample_binomial_inverts_as_the_term_by_term_loop(self, trials, p):
+        q = min(p, 1.0 - p)
+        for u in entry_edges(binomial_by_terms(trials, q, math.inf)[1]):
+            k = binomial_by_terms(trials, q, u)[0]
+            rng = ScriptedUniforms([u])
+            assert (sample_binomial(trials, p, rng), rng.used) == (trials - k if p > 0.5 else k, 1), u
 
 
 class TestIntegerKeys:
