@@ -136,12 +136,12 @@ class CountHistogram:
 
 def _indexed(values) -> Counter:
     """A Counter of the integers of ``values``, a tuple or list with a value
-    that does not hash; DataError when one has no ``__index__``, or when
-    ``values`` is any other container."""
+    that does not hash; DataError when one has no ``__index__`` or its
+    ``__index__`` fails, or when ``values`` is any other container."""
     try:
         if type(values) in (tuple, list):
             return Counter(map(operator.index, values))
-    except TypeError:
+    except (OverflowError, TypeError, ValueError):
         pass
     raise DataError("observations must be an iterable of integers") from None
 
@@ -188,7 +188,7 @@ def _byte_bins(values: tuple | list) -> tuple[tuple[int, int], ...] | None:
         if len(seen) > _PROBE_DISTINCT_MAX:
             return None
         octets = bytearray(values)
-    except (TypeError, ValueError):  # a non-integer, or one outside 0..255
+    except (OverflowError, TypeError, ValueError):  # a non-integer, one outside 0..255, or a failing __index__
         return None
     often = []
     if len(octets) >= _PLANES_MIN:

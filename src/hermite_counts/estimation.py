@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 from .data import CountHistogram
 from .errors import DataError, DomainError, OverflowGuard
@@ -318,10 +319,6 @@ def _iterates(hist: CountHistogram, init: tuple[float, ...], tol: float, max_ite
         a, loglik, table = cand, cand_ll, cand_table
 
 
-def _ascend(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: int) -> FitResult:
-    return _climb(hist, init, tol, max_iter)[0]
-
-
 def _climb(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: int, start: tuple | None = None):
     """The fit :func:`_iterates` reaches from ``init`` (and ``start``), and
     the scaled pmf table at it."""
@@ -339,12 +336,11 @@ def _climb(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: int,
     return fit, table
 
 
-def _ladder(hist: CountHistogram, r_max: int, tol: float, max_iter: int, fit: FitResult | None = None):
-    """Yield the fits of orders 1..r_max (given ``fit``, those above its order),
-    each rung started from the one below.
+def _ladder(hist: CountHistogram, r_max: int, tol: float, max_iter: int):
+    """Yield the fits of orders 1..r_max, each rung started from the one below.
 
     Order 1's mean slice is the single point (mean,), its closed-form
-    maximum, so its fit is built there without an ascent: the one :func:`_ascend`
+    maximum, so its fit is built there without an ascent: the one :func:`_climb`
     returns, after 0 iterations with a gradient norm of exactly 0.0 (the
     gradient's part along the slice, g - g).  Order r+1 starts at the order-r
     fit with a zero appended, a point of the larger family with the same
@@ -354,14 +350,12 @@ def _ladder(hist: CountHistogram, r_max: int, tol: float, max_iter: int, fit: Fi
     ended at, where pmf._extends_by_zero shows they are the start's own.
     ``tol`` and ``max_iter`` are checked by the caller.
     """
-    table = None
-    if fit is None:
-        point = _trusted_params((hist.mean(),))
-        _, loglik, table = _checked_start(hist, point.a)
-        fit = FitResult(params=point, loglik=loglik, converged=True, iterations=0, grad_norm=0.0, init=point)
-        yield fit
-    for _ in range(fit.params.order, r_max):
-        start = (fit.loglik, table) if table is not None and _extends_by_zero(table) else None
+    point = _trusted_params((hist.mean(),))
+    _, loglik, table = _checked_start(hist, point.a)
+    fit = FitResult(params=point, loglik=loglik, converged=True, iterations=0, grad_norm=0.0, init=point)
+    yield fit
+    for _ in range(1, r_max):
+        start = (fit.loglik, table) if _extends_by_zero(table) else None
         fit, table = _climb(hist, _trusted_params(fit.params.a + (0.0,)), tol, max_iter, start)
         yield fit
 
@@ -391,9 +385,10 @@ def fit_mle(
     """
     r = _whole(r, "r", 1)
     tol, max_iter = _real(tol, "tol", "[0, inf)"), _whole(max_iter, "max_iter", 0)
-    *_, fit = _ladder(hist, min(r, max(hist.max_count, 1)), tol, max_iter)
+    ladder = _ladder(hist, r, tol, max_iter)
+    *_, fit = islice(ladder, min(r, max(hist.max_count, 1)))
     if r > fit.params.order:
-        jump = _ascend(hist, _trusted_params(fit.params.a + (0.0,) * (r - fit.params.order)), tol, 0)
+        jump = _climb(hist, _trusted_params(fit.params.a + (0.0,) * (r - fit.params.order)), tol, 0)[0]
         settled = jump.grad_norm < 0.5 * tol * (1.0 + abs(jump.loglik))
-        *_, fit = [jump] if settled else _ladder(hist, r, tol, max_iter, fit)
+        *_, fit = [jump] if settled else ladder
     return fit

@@ -50,31 +50,6 @@ _MAX_MEAN = 2.0**400
 _LOCAL_ORDER = 4
 
 
-class _Probs:
-    """``PmfTable.probs``: the entries as a read-only float64 ndarray, built
-    on first access and kept.
-
-    The dataclass's generated ``__init__`` hands its argument to ``__set__``,
-    and ``__post_init__`` takes it from there.  Read on the class it raises
-    AttributeError, so the dataclass gives the field no default.
-    """
-
-    def __get__(self, table: PmfTable | None, owner: type | None = None) -> np.ndarray:
-        if table is None:
-            raise AttributeError("probs")
-        probs = table.__dict__.get("_probs")
-        if probs is None:
-            import numpy as np
-
-            probs = np.array(table.entries, dtype=float)
-            probs.flags.writeable = False
-            table.__dict__["_probs"] = probs
-        return probs
-
-    def __set__(self, table: PmfTable, probs: object) -> None:
-        table.__dict__["_probs"] = probs
-
-
 @dataclass(frozen=True, eq=False)
 class PmfTable:
     """Truncated probability vector p_0..p_K with its unaccounted tail mass.
@@ -87,12 +62,12 @@ class PmfTable:
     equality of content matters.
     """
 
-    probs: np.ndarray = _Probs()
+    probs: np.ndarray
     entries: tuple[float, ...] = field(init=False, repr=False)
     tail_mass: float = field(init=False)
 
     def __post_init__(self) -> None:
-        entries = _as_entries(self.__dict__.pop("_probs"))
+        entries = _as_entries(self.__dict__.pop("probs"))
         if not entries:
             raise DomainError("a pmf table needs a one-dimensional, non-empty vector")
         if not all(map(math.isfinite, entries)):
@@ -104,6 +79,17 @@ class PmfTable:
             raise DomainError(f"pmf table mass {total} exceeds 1")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "tail_mass", 1.0 - total)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Reached only for names missing from the instance dict, as ``probs``
+        # is until its first read stores it there.
+        if name != "probs" or "entries" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        import numpy as np
+
+        probs = self.__dict__["probs"] = np.array(self.entries, dtype=float)
+        probs.flags.writeable = False
+        return probs
 
     @property
     def k_max(self) -> int:

@@ -33,7 +33,7 @@ from hermite_counts.data import _BYTE_PATH_MIN, _PLANES_MIN, _SLICE
 from hermite_counts.estimation import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    _ascend,
+    _climb,
     _factorial_cumulants,
     _ladder,
     _onto_slice,
@@ -78,10 +78,18 @@ class _IndexOnly:
         return f"_IndexOnly({self.value})"
 
 
+class _IndexOverflows:
+    """A value whose ``__index__`` raises OverflowError."""
+
+    def __index__(self):
+        raise OverflowError("too large to index")
+
+
 def counted_bins(values):
     """The bins, or the DataError message, of the plain Counter route: values
     that do not all hash are counted again through operator.index, and a
-    value that is not an int but has __index__ counts as the int it gives."""
+    value that is not an int but has __index__ counts as the int it gives,
+    or is kept as it is when its __index__ fails."""
     try:
         try:
             counted = Counter(values)
@@ -89,9 +97,14 @@ def counted_bins(values):
             counted = Counter(map(operator.index, values))
         merged = Counter()
         for value, freq in counted.items():
-            merged[operator.index(value) if not isinstance(value, int) and hasattr(value, "__index__") else value] += freq
+            if not isinstance(value, int) and hasattr(value, "__index__"):
+                try:
+                    value = operator.index(value)
+                except OverflowError:
+                    pass
+            merged[value] += freq
         return CountHistogram(tuple(merged.items())).bins
-    except TypeError:
+    except (OverflowError, TypeError):
         return "observations must be an iterable of integers"
     except DataError as exc:
         return str(exc)
@@ -115,6 +128,7 @@ ODD_VALUES = st.one_of(
     st.sampled_from([0.0, 2.0, 2.5]).map(np.array),
     st.just(_Three.THREE),
     st.integers(-5, 300).map(_IndexOnly),
+    st.builds(_IndexOverflows),
     st.sampled_from([2.0, 2.5, -1, -300, None, "3", "x"]),
 )
 
@@ -259,6 +273,18 @@ class TestCountHistogram:
         values = [_IndexOnly(value), value] + [k % 4 for k in range(length - 2)]
         expected = tuple(sorted(Counter([value, value] + values[2:]).items()))
         assert observed_bins(values) == counted_bins(values) == expected
+
+    @pytest.mark.parametrize("length", [3, 300])
+    @pytest.mark.parametrize(
+        "second, message",
+        [(1, "histogram entries must be integers"), (np.array(1), "observations must be an iterable of integers")],
+        ids=["hashable", "unhashable"],
+    )
+    def test_a_value_whose_index_overflows_is_refused(self, second, message, length):
+        # bytes() and operator.index passed its OverflowError through, at 256
+        # values or more and wherever a value did not hash
+        values = [_IndexOverflows(), second] + [1] * (length - 2)
+        assert observed_bins(values) == counted_bins(values) == message
 
     def test_representation_invariance(self):
         raw = CountHistogram.from_observations([3, 1, 1, 0, 3, 3])
@@ -507,7 +533,7 @@ class TestFitMle:
         moved_nothing = np.array_equal(trials[-1], iterates[-1][0].a)
         logliks = [ll for _, ll, _ in iterates]
         assert all(b >= a for a, b in zip(logliks, logliks[1:]))
-        fit = _ascend(hist, init, 0.0, DEFAULT_MAX_ITER)
+        fit = _climb(hist, init, 0.0, DEFAULT_MAX_ITER)[0]
         assert not fit.converged
         assert 0 < fit.iterations == len(iterates) - 1 < DEFAULT_MAX_ITER
         assert (fit.params, fit.loglik, fit.grad_norm) == iterates[-1]
@@ -541,7 +567,7 @@ class TestFitMle:
         # the first acceptable step from here is ~6.8e-21, where max|g| is
         # 2.9e14; a fixed step floor of 1e-18 stopped at 0 iterations, -697.52
         hist = CountHistogram.from_mapping({0: 1, 1000: 1})
-        fit = _ascend(hist, HermiteParams((500.0,) + (0.0,) * 49), DEFAULT_TOL, 100)
+        fit = _climb(hist, HermiteParams((500.0,) + (0.0,) * 49), DEFAULT_TOL, 100)[0]
         assert fit.converged
         assert fit.loglik >= -16.2840
 

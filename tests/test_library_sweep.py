@@ -100,7 +100,7 @@ from hermite_counts import (
     thin_sample,
     thinning_invariants,
 )
-from hermite_counts.estimation import DEFAULT_MAX_ITER, DEFAULT_TOL, _ascend, _ladder, _onto_slice, mle_iterates
+from hermite_counts.estimation import DEFAULT_MAX_ITER, DEFAULT_TOL, _climb, _ladder, _onto_slice, mle_iterates
 from hermite_counts.pmf import MAX_TABLE_LEN, _scaled_pmf
 from hermite_counts.sampling import _BLOCK, MAX_COMPONENT_RATE, derive_seed, sample_binomial
 
@@ -298,7 +298,7 @@ def test_order_one_rung_is_the_ascent_from_the_mean(hist, tol, max_iter):
     # the ladder builds order 1 in closed form; the ascent it replaces must
     # give the same fit, or the same error
     rung = fit_or_error(lambda: next(_ladder(hist, 1, tol, max_iter)))
-    assert rung == fit_or_error(lambda: _ascend(hist, HermiteParams((hist.mean(),)), tol, max_iter))
+    assert rung == fit_or_error(lambda: _climb(hist, HermiteParams((hist.mean(),)), tol, max_iter)[0])
 
 
 EPS = np.finfo(float).eps

@@ -1,6 +1,8 @@
 """Probability tables, adaptive truncation, likelihood, and its gradient."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -128,6 +130,29 @@ class TestPmfTable:
         with pytest.raises(ValueError):
             probs[0] = 0.5
         assert table.probs is probs
+
+    def test_an_unknown_attribute_is_refused_by_name(self):
+        table = pmf_table(HermiteParams((1.0,)), 3)
+        with pytest.raises(AttributeError, match="'PmfTable' object has no attribute 'nope'"):
+            table.nope
+        assert not hasattr(table, "nope")
+
+    def test_probs_read_on_the_class_is_refused(self):
+        with pytest.raises(AttributeError):
+            PmfTable.probs
+
+    @pytest.mark.parametrize(
+        "duplicate", [copy.deepcopy, lambda table: pickle.loads(pickle.dumps(table))], ids=["deepcopy", "pickle"]
+    )
+    def test_a_copy_made_before_probs_is_read_builds_it(self, duplicate):
+        # copying probes the new instance for __setstate__ while its dict is
+        # still empty, before entries is set
+        table = pmf_table(HermiteParams((1.0, 0.5)), 12)
+        assert "probs" not in vars(table)
+        copied = duplicate(table)
+        assert (copied.entries, copied.tail_mass) == (table.entries, table.tail_mass)
+        assert copied.probs.tolist() == list(table.entries)
+        assert not copied.probs.flags.writeable
 
     @pytest.mark.parametrize(
         "values",
@@ -266,11 +291,15 @@ class TestAdaptivePmf:
         [
             ((0.055902383627816174,), 2.2425941372445393e-15, 7),
             ((9.81245119458477, 0.4799895095473067, 0.017141350679836242), 3.804746319275413e-15, 48),
+            ((6.364512773302374,), 2.748169475329887e-15, 35),
+            ((0.11681437393189106, 3.85245764906573, 25.227224949178876, 1.5572340798607986), 1.423507370222915e-15, 248),
         ],
     )
-    def test_cut_below_the_float_estimate(self, a, eps, k_max):
-        # the cumsum estimate of the tail overshoots here, and a walk up from
-        # it returned one entry more than the smallest table
+    def test_cut_on_either_side_of_the_float_estimate(self, a, eps, k_max):
+        # the cumsum estimate of the tail overshoots in the first two cases,
+        # where a walk up from it returned one entry more than the smallest
+        # table; in the last two it falls one entry short, where the fsum
+        # tail of its cut is still at least eps
         table = adaptive_pmf(HermiteParams(a), eps)
         assert table.k_max == k_max
         assert table.tail_mass < eps <= table.truncate(k_max - 1).tail_mass
