@@ -62,8 +62,8 @@ class PmfTable:
     equality of content matters.
     """
 
-    probs: np.ndarray
-    entries: tuple[float, ...] = field(init=False, repr=False)
+    probs: np.ndarray = field(repr=False)
+    entries: tuple[float, ...] = field(init=False)
     tail_mass: float = field(init=False)
 
     def __post_init__(self) -> None:

@@ -21,20 +21,23 @@ next_float of one SplitMix64, used in order:
 
 The j-th output of SplitMix64(seed) depends only on seed + j * gamma, so
 both samplers compute their uniforms in numpy blocks from that closed form
-(``_uniforms``), at most ``_BLOCK`` at a time.  They keep each uniform in
+(``_uniforms``: a cached progression (1 .. _BLOCK) * gamma plus one
+scalar), at most ``_BLOCK`` at a time.  They keep each uniform in
 its integer form, v = output >> 11 with next_float = v * 2**-53, and
 compare it with a probability c through the integer key ceil(c * 2**53):
 c <= v * 2**-53 exactly where key <= v.  Only the rejection regime's
 attempts are evaluated on floats.  Each Poisson rate gets one table, built
-on first use and kept: the keys of its cdf with a guide table up to rate
-30, the rejection constants and an lgamma table above.  When every
-component of ``sample_hermite`` inverts, draw d's component c reads
-uniform d*r + c (r the number of a_i > 0), and a block is one array of
-uniforms searched in each component's table.  A rejection attempt uses
-one or two uniforms, so a model with a component above 30 evaluates, over
-a window of uniforms, the attempt that would start at each position, and
-walks its draws through the accepting ones.  The thinning layout is fixed
-by the counts alone, so ``thin_sample`` works on whole blocks of uniforms.
+on first use and kept: up to rate 30 the keys of its cdf with an index
+table over the uniform's top _GUIDE_BITS bits, which inverts all but
+0.1-1% of the uniforms by one gather; the rejection constants and an
+lgamma table above.  When every component of ``sample_hermite`` inverts,
+draw d's component c reads uniform d*r + c (r the number of a_i > 0), and
+a block is one array of uniforms inverted in each component's table.  A
+rejection attempt uses one or two uniforms, so a model with a component
+above 30 evaluates, over a window of uniforms, the attempt that would start
+at each position, and walks its draws through the accepting ones.  The
+thinning layout is fixed by the counts alone, so ``thin_sample`` works on
+whole blocks of uniforms.
 ``sample_poisson`` and ``sample_binomial``, drawing from one SplitMix64,
 are the scalar definitions the two reproduce bit for bit.  They search the
 same accumulated cdfs as the tables (``_inversion_cdf``, ``_binomial_cdf``),
@@ -44,7 +47,6 @@ lazily: each accumulation stops at the first entry above its uniform.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -71,9 +73,9 @@ _BERNOULLI_MAX = 64
 #: Poisson component, thinning at most this many in all.
 _BLOCK = 1 << 12
 
-#: The guide table that indexes each inversion cdf has 2**_GUIDE_BITS
-#: buckets: a uniform's top bits.
-_GUIDE_BITS = 10
+#: The index table of each inversion cdf has 2**_GUIDE_BITS buckets: a
+#: uniform's top bits.
+_GUIDE_BITS = 12
 
 #: A rejection attempt evaluated in numpy whose floor or accept decision lies
 #: within this relative distance of its threshold is redone with ``math``.
@@ -232,40 +234,39 @@ def _keys(cdf: list[float]) -> list[int]:
 
 
 @lru_cache(maxsize=64)
-def _inversion_table(rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The _keys of _inversion_cdf(rate) with their guide table (Chen & Asau
-    1974), all read-only int64 or bool arrays: (keys, lo, slow).
+def _inversion_table(rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """The _keys of _inversion_cdf(rate) with their index table, read-only
+    int64 and int16 arrays: (keys, index).
 
-    Bucket b holds the uniforms v with v >> (53 - _GUIDE_BITS) == b, and
-    ``lo[b]`` counts the keys <= the bucket's first v.  Where at most one key
-    lies inside the bucket, v's index is lo[b] + (keys[lo[b]] <= v): a key at
-    or past the bucket's end lies above every v in it.  ``slow`` marks the
-    buckets with more keys inside, or holding the last one.
+    Bucket b holds the uniforms v with v >> (53 - _GUIDE_BITS) == b.  Where
+    no key lies inside the bucket (above its first v, at or below its last),
+    every v in it inverts to the same index, ``index[b]``; elsewhere
+    ``index[b]`` is -1.  Every index is at most 429 (the cdf has at most
+    430 entries), so int16 holds it: 2**_GUIDE_BITS * 2 bytes, 8 KB, per rate.
     """
     import numpy as np
 
-    keys = _keys(_inversion_cdf(rate, math.inf))
+    keys = np.array(_keys(_inversion_cdf(rate, math.inf)), dtype=np.int64)
     shift = 53 - _GUIDE_BITS
-    last = keys[-1] >> shift  # a v at or above the last key maps to the top index
-    lo = [bisect_right(keys, b << shift) for b in range(1 << _GUIDE_BITS)]
-    slow = [b >= last or bisect_left(keys, (b + 1) << shift) - lo[b] > 1 for b in range(1 << _GUIDE_BITS)]
-    arrays = np.array(keys, dtype=np.int64), np.array(lo, dtype=np.int64), np.array(slow)
-    for array in arrays:
+    first = np.arange(1 << _GUIDE_BITS, dtype=np.int64) << shift
+    lo = np.searchsorted(keys, first, "right")
+    hi = np.searchsorted(keys, first + ((1 << shift) - 1), "right")
+    index = np.where(lo == hi, np.minimum(lo, len(keys) - 1), -1).astype(np.int16)
+    for array in keys, index:
         array.flags.writeable = False
-    return arrays
+    return keys, index
 
 
-def _invert(table: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
+def _invert(table: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
     """min(bisect_right(cdf, v * 2**-53), len(cdf) - 1) for each 53-bit
-    integer uniform of ``v``, from the _inversion_table of the cdf; a uniform
-    in a slow bucket is searched by bisection."""
+    integer uniform of ``v``, as int16, from the _inversion_table of the cdf:
+    one gather, and a bisection of the keys for the uniforms in a bucket
+    that a key splits (0.1-1% of them at rates 0.25-30)."""
     import numpy as np
 
-    keys, lo, slow = table
-    b = v >> (53 - _GUIDE_BITS)
-    k = lo.take(b)
-    k += keys.take(k) <= v
-    hard = np.flatnonzero(slow.take(b))
+    keys, index = table
+    k = index.take(v >> (53 - _GUIDE_BITS))
+    hard = np.flatnonzero(k < 0)
     if hard.size:
         k[hard] = np.minimum(np.searchsorted(keys, v[hard], "right"), len(keys) - 1)
     return k
@@ -369,14 +370,19 @@ def _inversion_blocks(active: list[tuple[int, float]], n: int, seed: int) -> Ite
     tables = [(i, _inversion_table(rate)) for i, rate in active]
     for lo in range(0, n, _BLOCK):
         m = min(_BLOCK, n - lo)
+        if not tables:  # a point mass at 0
+            yield np.zeros(m, dtype=np.int64)
+            continue
         v = _uniforms(seed, lo * r, m * r)
         if r == 1 and tables[0][0] == 1:  # a Poisson draw is its one component
-            yield _invert(tables[0][1], v)
+            yield _invert(tables[0][1], v).astype(np.int64)
             continue
         v = v.reshape(m, r)
-        total = np.zeros(m, dtype=np.int64)
-        for c, (i, table) in enumerate(tables):
-            total += i * _invert(table, v[:, c])
+        # int16 counts times i wrap past 32,767, so the products are int64
+        (i, table), *rest = tables
+        total = np.multiply(_invert(table, v[:, 0]), i, dtype=np.int64)
+        for c, (i, table) in enumerate(rest, start=1):
+            total += np.multiply(_invert(table, v[:, c]), i, dtype=np.int64)
         yield total
 
 
@@ -434,25 +440,45 @@ def sample_hermite(params: HermiteParams, n: int, seed: int) -> SampleBatch:
     return SampleBatch(values=tuple(np.concatenate(list(_hermite_blocks(params, n, seed))).tolist()), seed=seed)
 
 
+@lru_cache(maxsize=4)
+def _progression(length: int) -> tuple:
+    """What _uniforms reads for blocks of ``length``: the read-only uint64
+    progression (1 .. length) * gamma (mod 2**64), then the mixer's shifts
+    and multipliers as uint64 scalars, which numpy would otherwise convert
+    on every call."""
+    import numpy as np
+
+    steps = np.arange(1, length + 1, dtype=np.uint64)
+    steps *= np.uint64(_GAMMA)
+    steps.flags.writeable = False
+    return steps, *map(np.uint64, (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31, 11))
+
+
 def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """Outputs start+1 .. start+count of SplitMix64(seed) as int64 53-bit
     integers v = z >> 11, the uniforms v * 2**-53 that next_float returns.
 
     The j-th output mixes seed + j * gamma (mod 2**64), so any stretch of
-    the stream is computed without the outputs before it.
+    the stream is computed without the outputs before it: the _BLOCK
+    outputs from start + 1 on mix the cached (1 .. _BLOCK) * gamma plus the
+    scalar start * gamma + seed, and a longer count is filled _BLOCK at a
+    time.
     """
     import numpy as np
 
-    # in place, so that at most two arrays of ``count`` are alive at once
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z *= np.uint64(_GAMMA)
-    z += np.uint64(seed)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    z >>= np.uint64(11)
+    steps, s30, m1, s27, m2, s31, s11 = _progression(_BLOCK)
+    z = np.empty(count, dtype=np.uint64)
+    for lo in range(0, count, _BLOCK):
+        hi = min(lo + _BLOCK, count)
+        np.add(steps[: hi - lo], np.uint64(((start + lo) * _GAMMA + seed) & _MASK64), out=z[lo:hi])
+    # in place, through one scratch array, so that two arrays of ``count`` are alive at once
+    t = np.empty_like(z)
+    z ^= np.right_shift(z, s30, out=t)
+    z *= m1
+    z ^= np.right_shift(z, s27, out=t)
+    z *= m2
+    z ^= np.right_shift(z, s31, out=t)
+    z >>= s11
     return z.view(np.int64)  # below 2**53: the same bits as int64
 
 

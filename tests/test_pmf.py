@@ -1,8 +1,13 @@
 """Probability tables, adaptive truncation, likelihood, and its gradient."""
 
 import copy
+import json
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +135,24 @@ class TestPmfTable:
         with pytest.raises(ValueError):
             probs[0] = 0.5
         assert table.probs is probs
+
+    def test_printing_shows_the_entries_and_never_loads_numpy(self):
+        # a fresh interpreter, where nothing has loaded numpy yet
+        session = (
+            "import json, sys\n"
+            "from hermite_counts import HermiteParams, pmf_table\n"
+            "table = pmf_table(HermiteParams((1.0,)), 3)\n"
+            "print(json.dumps([repr(table), list(map(repr, table.entries)), 'numpy' in sys.modules]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", session], capture_output=True, env=dict(os.environ, PYTHONPATH=src), check=False
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        text, entries, numpy_loaded = json.loads(proc.stdout)
+        assert not numpy_loaded
+        assert text.startswith("PmfTable(entries=(") and "probs" not in text
+        assert all(entry in text for entry in entries)
 
     def test_an_unknown_attribute_is_refused_by_name(self):
         table = pmf_table(HermiteParams((1.0,)), 3)

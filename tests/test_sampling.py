@@ -48,6 +48,20 @@ class TestSplitMix64:
     def test_seed_masked_to_64_bits(self):
         assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
 
+    @pytest.mark.parametrize("seed, start", [(0, 0), (12345, 7), (2**64 - 1, 1000)], ids=str)
+    def test_block_uniforms_are_the_scalar_outputs(self, seed, start):
+        # the block form mixes a cached progression (1 .. B) * gamma plus
+        # start * gamma + seed, filled B at a time: counts on both sides of
+        # each chunk boundary, and an offset that wraps past 2**64
+        block = sampling._BLOCK
+        rng = SplitMix64(seed)
+        for _ in range(start):
+            rng.next_u64()
+        outputs = [rng.next_u64() >> 11 for _ in range(3 * block + 5)]
+        for count in (1, block - 1, block, block + 1, 3 * block + 5):
+            v = sampling._uniforms(seed, start, count)
+            assert v.dtype == np.int64 and v.tolist() == outputs[:count], count
+
 
 class TestSamplePoisson:
     def test_zero_rate(self):
@@ -440,6 +454,13 @@ class TestInversionTables:
         keys += sampling._uniforms(GUIDE_RATES.index(rate), 0, 5000).tolist()
         found = sampling._invert(sampling._inversion_table(rate), np.array(keys, dtype=np.int64))
         assert found.tolist() == [min(bisect_right(cdf, v * 2.0**-53), top) for v in keys]
+
+    def test_counts_times_a_large_index_do_not_wrap(self, monkeypatch):
+        # the top uniform inverts to index 429 at rate 30, and 77 * 429 = 33,033
+        # passes the int16 range that the table's counts are held in
+        a = (0.0,) * 76 + (30.0,)
+        rng = scripted_stream(monkeypatch, [LAST_V])
+        assert sample_hermite(HermiteParams(a), 1, 0).values == (77 * sample_poisson(30.0, rng),) == (33_033,)
 
     def test_tables_are_cached_and_read_only(self):
         table = sampling._inversion_table(2.0)
