@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import DomainError, OverflowGuard
@@ -34,18 +35,29 @@ def _sum_or_inf(terms) -> float:
         return math.inf
 
 
+def _ordered(values, name: str, entries: str):
+    """``values`` if it is a Sequence but not str or bytes, or the tolist() of
+    an object with ndim == 1, such as a 1-d ndarray; anything else has no
+    order to read and is refused with DomainError naming ``name``."""
+    # a list or tuple skips the slower abstract-class check
+    if isinstance(values, (list, tuple)) or (isinstance(values, Sequence) and not isinstance(values, (str, bytes))):
+        return values
+    if getattr(values, "ndim", None) == 1:
+        return values.tolist()
+    raise DomainError(f"{name} must be a sequence of {entries}, got {values!r}")
+
+
 def _doubles(values, name: str) -> tuple[float, ...]:
-    """``values`` as a tuple of floats, each entry read by float(); a str or
-    bytes, or anything else that is not a sequence of numbers, is refused
-    with DomainError naming ``name``."""
+    """The package's one reader of real vectors: ``values``, read by
+    :func:`_ordered`, as a tuple of floats, each entry by float(); an entry
+    float() refuses, or makes no double, is refused with DomainError."""
+    ordered = _ordered(values, name, "real numbers")
     try:
-        if not isinstance(values, (str, bytes)):  # float() would read their characters as entries
-            return tuple(map(float, values))
+        return tuple(map(float, ordered))
     except OverflowError:  # an integer beyond the double range
         raise DomainError(f"an entry of {name} is beyond the double range") from None
-    except (TypeError, ValueError):  # not iterable, or an entry float() refuses
-        pass
-    raise DomainError(f"{name} must be a sequence of real numbers, got {values!r}")
+    except (TypeError, ValueError):  # an entry float() refuses, such as None, a list or "a"
+        raise DomainError(f"{name} must be a sequence of real numbers, got {values!r}") from None
 
 
 def _real(value, name: str, interval: str = "(-inf, inf)") -> float:

@@ -13,9 +13,9 @@ zeros, in the general loop's order of addition; both give the same bits.
 The public functions refuse a mean sum_i i*a_i of 2**400 or more with
 OverflowGuard, since a single step could then overflow the mantissas.
 
-Tables are tuples of floats, so ``pmf_table`` and ``adaptive_pmf`` never
-load numpy.  Only the array forms do: ``PmfTable.probs``, built on first
-access, and ``loglik_gradient``, whose result is an ndarray.
+Tables are tuples of floats, read from any vector by ``model._doubles``, so
+building one never loads numpy.  Only the array forms do: ``PmfTable.probs``,
+built on first access, and ``loglik_gradient``, whose result is an ndarray.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .errors import DomainError, IterationCap, OverflowGuard
-from .model import HermiteParams, _real, _sum_or_inf, _whole
+from .model import HermiteParams, _doubles, _real, _sum_or_inf, _whole
 
 #: Largest k_max of any table, adaptive or not.
 MAX_TABLE_LEN = 10**7
@@ -54,9 +54,10 @@ _LOCAL_ORDER = 4
 class PmfTable:
     """Truncated probability vector p_0..p_K with its unaccounted tail mass.
 
-    ``entries`` holds p_0..p_K as a tuple of floats.  ``probs`` is the same
-    vector as a read-only float64 ndarray, built the first time it is read,
-    so a table that is only printed or summed never loads numpy.
+    ``entries`` holds p_0..p_K as a tuple of floats, read from the sequence
+    or 1-d array ``probs`` as ``HermiteParams`` reads its coefficients.
+    ``probs`` is the same vector as a read-only float64 ndarray, built the
+    first time it is read, so a table only printed or summed never loads numpy.
     ``tail_mass`` is 1 - sum(entries) computed with compensated summation
     at construction.  Identity semantics: compare ``entries`` directly when
     equality of content matters.
@@ -67,7 +68,7 @@ class PmfTable:
     tail_mass: float = field(init=False)
 
     def __post_init__(self) -> None:
-        entries = _as_entries(self.__dict__.pop("probs"))
+        entries = _doubles(self.__dict__.pop("probs"), "probs")
         if not entries:
             raise DomainError("a pmf table needs a one-dimensional, non-empty vector")
         if not all(map(math.isfinite, entries)):
@@ -105,28 +106,6 @@ class PmfTable:
     def truncate(self, k_max: int) -> "PmfTable":
         """A copy cut off at ``k_max`` (tail mass grows accordingly)."""
         return PmfTable(self.entries[: _check_k_max(k_max) + 1])
-
-
-def _as_entries(values: object) -> tuple[float, ...]:
-    """``values`` as a tuple of floats, read as ``numpy.asarray(values, dtype=float)`` reads them.
-
-    A list or tuple of ints and floats is read in pure Python.  Any other
-    input goes through numpy, so nested, ragged, 0-d and other inputs meet
-    numpy's rules and get the same refusals.
-    """
-    try:
-        if isinstance(values, (list, tuple)) and all(isinstance(x, (int, float)) for x in values):
-            return tuple(map(float, values))
-        import numpy as np
-
-        p = np.asarray(values, dtype=float)
-    except OverflowError:  # an int beyond the double range
-        raise DomainError("pmf table entries must be finite") from None
-    except (TypeError, ValueError):  # an entry float() refuses, such as "a"
-        raise DomainError("pmf table entries must be real numbers") from None
-    if p.ndim != 1:
-        raise DomainError("a pmf table needs a one-dimensional, non-empty vector")
-    return tuple(p.tolist())
 
 
 def _check_k_max(k_max: int) -> int:

@@ -53,7 +53,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .errors import DataError, OverflowGuard
-from .model import HermiteParams, _check_thinning_fraction, _real, _whole
+from .model import HermiteParams, _check_thinning_fraction, _ordered, _real, _whole
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -551,13 +551,16 @@ def _thin_chunk(x: np.ndarray, p: float, seed: int, used: int) -> tuple[np.ndarr
 
 
 def _trial_counts(block: Sequence[int]) -> np.ndarray:
-    """``block`` as int64 counts; the first that is not a whole number in [0, 2**63) is refused."""
+    """``block`` as int64 counts; the first that is not a whole number in
+    [0, 2**63) is refused, as in a nested block or one numpy cannot read."""
     import numpy as np
 
-    x = np.asarray(block)
-    if x.dtype.kind not in "bi" or (x < 0).any():
-        for v in block:
-            _whole(v, "trial count", 0, 2**63 - 1)
+    try:
+        x = np.asarray(block)
+    except ValueError:  # ragged, such as [[1], [1, 2]]
+        x = None
+    if x is None or x.ndim != 1 or x.dtype.kind not in "bi" or (x < 0).any():
+        x = np.array([_whole(v, "trial count", 0, 2**63 - 1) for v in block], dtype=np.int64)
     return x.astype(np.int64, copy=False)
 
 
@@ -585,9 +588,10 @@ def thin_sample(batch: SampleBatch, p: float, seed: int) -> SampleBatch:
 
     The result equals sample_binomial(x, p, rng) applied to each count in
     turn with one rng = SplitMix64(seed); it is computed in numpy blocks of
-    at most _BLOCK counts and _BLOCK uniforms.
+    at most _BLOCK counts and _BLOCK uniforms.  ``batch.values`` must have an
+    order, as the coefficients of ``HermiteParams`` must, and whole counts >= 0.
     """
     seed = _seed(seed)
-    counts = batch.values
+    counts = tuple(_ordered(batch.values, "batch values", "whole numbers"))
     blocks = (counts[lo : lo + _BLOCK] for lo in range(0, len(counts), _BLOCK))
     return SampleBatch(values=tuple(chain.from_iterable(_thin_blocks(blocks, p, seed))), seed=seed)

@@ -48,10 +48,15 @@ strings and ints outside its range.  A whole number in range must answer
 exactly as its int does; anything else must be refused with a DomainError
 naming the argument.  Every real-valued argument must answer a numpy float
 or a Fraction as it answers the float, and refuse None, a string, a list, NaN
-and values outside its interval with a DomainError naming it.  Both tables
-must name every argument annotated int or float in the public signatures.
+and values outside its interval with a DomainError naming it.  Every vector
+argument must read a list, a tuple, a range, an array.array, a one-dimensional
+ndarray, and a list of 0-d arrays or numeric strings, as the same floats, and
+refuse sets, mappings, iterators, arrays of another dimension and scalars with
+a DomainError naming it.  The three tables must name every argument annotated
+int, float or a vector of them in the public signatures.
 """
 
+import array
 import inspect
 import math
 from fractions import Fraction
@@ -569,13 +574,77 @@ def test_real_argument_takes_any_real_number_and_refuses_the_rest(function):
             call(value)
 
 
+#: Every vector argument: its name in the error, and a call that passes it
+#: and returns the floats it read or what it computed from them.
+VECTOR_ARGUMENTS = {
+    "HermiteParams": ("a", lambda v: HermiteParams(v).a),
+    "FactorialCumulants": ("kappa", lambda v: FactorialCumulants(v).kappa),
+    "factorial_moments_to_cumulants": ("moments", lambda v: factorial_moments_to_cumulants(v).kappa),
+    "PmfTable": ("probs", lambda v: PmfTable(v).entries),
+}
+
+#: The vector every container below holds: admissible for each argument, and
+#: exact in float32 and int64.
+VECTOR = (0.0, 1.0)
+
+#: Containers with an order, each holding VECTOR in a form float() reads.
+ORDERED = {
+    "list": lambda: list(VECTOR),
+    "tuple": lambda: VECTOR,
+    "range": lambda: range(2),
+    "array.array": lambda: array.array("d", VECTOR),
+    "float32-array": lambda: np.array(VECTOR, dtype=np.float32),
+    "int64-array": lambda: np.array(VECTOR, dtype=np.int64),
+    "list-of-0d-arrays": lambda: [np.array(x) for x in VECTOR],
+    "list-of-strings": lambda: [str(x) for x in VECTOR],
+}
+
+#: Containers without an order, or not one-dimensional, and scalars.
+UNORDERED = {
+    "set": lambda: set(VECTOR),
+    "frozenset": lambda: frozenset(VECTOR),
+    "dict": lambda: dict.fromkeys(VECTOR),
+    "dict-values": lambda: dict(enumerate(VECTOR)).values(),
+    "generator": lambda: (x for x in VECTOR),
+    "iterator": lambda: iter(list(VECTOR)),
+    "one-element-rows": lambda: np.array(VECTOR).reshape(-1, 1),
+    "0d-array": lambda: np.array(VECTOR[1]),
+    "str": lambda: "01",
+    "bytes": lambda: b"01",
+    "None": lambda: None,
+}
+
+
+@pytest.mark.parametrize("function", sorted(VECTOR_ARGUMENTS))
+def test_vector_argument_reads_every_ordered_container_and_refuses_the_rest(function):
+    name, call = VECTOR_ARGUMENTS[function]
+    want = call(VECTOR)
+    for container, make in ORDERED.items():
+        got = call(make())
+        assert got == want and all(type(x) is float for x in got), container
+    for make in UNORDERED.values():
+        with pytest.raises(DomainError, match=f"^{name} must be a sequence of real numbers"):
+            call(make())
+
+
 #: Result records: their fields hold what a computation returned, not arguments.
 RECORDS = {"CumulantSummary", "FitResult", "SampleBatch", "SelectionTrace"}
 
 
+#: The table that must name each parameter of an annotation.
+TABLES = {
+    "int": INTEGER_ARGUMENTS,
+    "float": REAL_ARGUMENTS,
+    "tuple[float, ...]": VECTOR_ARGUMENTS,
+    "tuple[int, ...]": VECTOR_ARGUMENTS,
+    "np.ndarray": VECTOR_ARGUMENTS,
+}
+
+
 def numeric_parameters():
-    """(key, parameter, annotation) for every parameter annotated int or float
-    of the public functions, constructors and methods, keyed as the tables are."""
+    """(key, parameter, annotation) for every parameter annotated int, float
+    or a vector of them of the public functions, constructors and methods,
+    keyed as the tables are."""
     import hermite_counts
 
     where = [(name, getattr(hermite_counts, name)) for name in hermite_counts.__all__]
@@ -588,7 +657,7 @@ def numeric_parameters():
             calls += [(f"{name}.{m}", f) for m, f in vars(obj).items() if inspect.isfunction(f) and m[0] != "_"]
         for key, call in calls:
             for p in inspect.signature(call).parameters.values():
-                if p.annotation in ("int", "float"):
+                if p.annotation in TABLES:
                     yield key, p.name, p.annotation
 
 
@@ -596,10 +665,10 @@ def test_the_argument_tables_name_every_numeric_parameter():
     found = list(numeric_parameters())
     missing = []
     for key, name, annotation in found:
-        table = REAL_ARGUMENTS if annotation == "float" else INTEGER_ARGUMENTS
-        # a bare key names the one parameter of its kind
-        alone = sum(k == key and a == annotation for k, _, a in found) == 1
+        table = TABLES[annotation]
+        # a bare key names the one parameter of its table
+        alone = sum(k == key and TABLES[a] is table for k, _, a in found) == 1
         if f"{key}.{name}" not in table and not (alone and key in table):
             missing.append(f"{key}.{name}")
     assert missing == []
-    assert len(found) == len(REAL_ARGUMENTS) + len(INTEGER_ARGUMENTS) == 23 + 20
+    assert len(found) == len(REAL_ARGUMENTS) + len(INTEGER_ARGUMENTS) + len(VECTOR_ARGUMENTS) == 23 + 20 + 4

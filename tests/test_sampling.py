@@ -242,6 +242,26 @@ class TestThinSample:
         with pytest.raises(DomainError, match=f"got {named}$"):
             thin_sample(SampleBatch(counts, seed=0), 0.5, seed=1)
 
+    @pytest.mark.parametrize(
+        "values, refusal",
+        [
+            ({1, 2}, "batch values must be a sequence of whole numbers, got {1, 2}"),
+            (None, "batch values must be a sequence of whole numbers, got None"),
+            ({1: 2}, "batch values must be a sequence of whole numbers, got {1: 2}"),
+            (((1, 2),), "trial count must be a whole number in [0, 9223372036854775807], got (1, 2)"),
+            ([[1], [1, 2]], "trial count must be a whole number in [0, 9223372036854775807], got [1]"),
+            ([[1], [2]], "trial count must be a whole number in [0, 9223372036854775807], got [1]"),
+        ],
+        ids=["set", "None", "dict", "nested", "ragged", "one-element-rows"],
+    )
+    def test_malformed_batch_is_refused_by_name(self, values, refusal):
+        # a set, None or a dict failed on slicing or len() with a bare TypeError,
+        # a nested or ragged batch in numpy with a ValueError, and one-element
+        # rows were thinned as if each were a count
+        with pytest.raises(DomainError) as refused:
+            thin_sample(SampleBatch(values, seed=0), 0.5, seed=1)
+        assert str(refused.value) == refusal
+
     def test_empty_batch_has_no_mean(self):
         with pytest.raises(DataError, match="empty"):
             thin_sample(SampleBatch((), seed=0), 0.5, seed=1).mean()
