@@ -85,7 +85,7 @@ def _numeric_vector(doc: dict, key: str, path: str) -> list:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in vec)
     ):
         raise FileFormatError(f"{path}: '{key}' must be a non-empty numeric array")
-    if "order" in doc and doc["order"] != len(vec):
+    if "order" in doc and (isinstance(doc["order"], bool) or doc["order"] != len(vec)):
         raise FileFormatError(f"{path}: 'order' does not match the length of '{key}'")
     return vec
 
@@ -258,9 +258,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.thin is not None:
         blocks = _thin_blocks(blocks, args.thin, derive_seed(args.seed, 1))
     for block in blocks:
-        # int64 arrays, or lists once thinned
-        values = block if isinstance(block, list) else block.tolist()
-        sys.stdout.write(("%d\n" * len(values)) % tuple(values))
+        sys.stdout.write(("%d\n" * len(block)) % tuple(block.tolist()))
     return EXIT_OK
 
 

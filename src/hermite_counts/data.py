@@ -9,6 +9,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .errors import DataError
+from .model import _trusted
 
 # Counts above this would force pmf tables of the same length; reject early.
 MAX_OBSERVED_COUNT = 10**6
@@ -97,9 +98,7 @@ class CountHistogram:
             bins = _byte_bins(values)
             if bins is not None:
                 # _byte_bins's bins pass every check: built as they stand
-                hist = object.__new__(cls)
-                object.__setattr__(hist, "bins", bins)
-                return hist
+                return _trusted(cls, bins=bins)
         try:
             counted = Counter(values)
         except TypeError:  # not iterable, or an unhashable observation

@@ -36,7 +36,7 @@ from itertools import islice
 
 from .data import CountHistogram
 from .errors import DataError, DomainError, OverflowGuard
-from .model import _MAX_EXACT_ORDER, FactorialCumulants, HermiteParams, _doubles, _real, _trusted_params, _whole
+from .model import _MAX_EXACT_ORDER, FactorialCumulants, HermiteParams, _doubles, _real, _trusted, _whole
 from .pmf import _extends_by_zero, _gradient, _gradient_parts, _loglik
 
 #: Armijo line-search constants: sufficient-increase slope and step shrink.
@@ -237,7 +237,7 @@ def mle_iterates(
     ``tol`` must be finite and >= 0; it and ``max_iter`` are checked at the call.
     """
     iterates = _iterates(hist, init.a, _real(tol, "tol", "[0, inf)"), _whole(max_iter, "max_iter", 0))
-    return ((_trusted_params(tuple(a)), loglik, gnorm) for a, loglik, gnorm, _ in iterates)
+    return ((_trusted(HermiteParams, a=tuple(a)), loglik, gnorm) for a, loglik, gnorm, _ in iterates)
 
 
 def _checked_start(hist: CountHistogram, a: tuple[float, ...] | list[float]):
@@ -326,7 +326,7 @@ def _climb(hist: CountHistogram, init: HermiteParams, tol: float, max_iter: int,
     for a, loglik, gnorm, table in _iterates(hist, init.a, tol, max_iter, start):
         iterations += 1
     fit = FitResult(
-        params=_trusted_params(tuple(a)),
+        params=_trusted(HermiteParams, a=tuple(a)),
         loglik=loglik,
         converged=gnorm <= tol * (1.0 + abs(loglik)),
         iterations=iterations,
@@ -350,13 +350,13 @@ def _ladder(hist: CountHistogram, r_max: int, tol: float, max_iter: int):
     ended at, where pmf._extends_by_zero shows they are the start's own.
     ``tol`` and ``max_iter`` are checked by the caller.
     """
-    point = _trusted_params((hist.mean(),))
+    point = _trusted(HermiteParams, a=(hist.mean(),))
     _, loglik, table = _checked_start(hist, point.a)
     fit = FitResult(params=point, loglik=loglik, converged=True, iterations=0, grad_norm=0.0, init=point)
     yield fit
     for _ in range(1, r_max):
         start = (fit.loglik, table) if _extends_by_zero(table) else None
-        fit, table = _climb(hist, _trusted_params(fit.params.a + (0.0,)), tol, max_iter, start)
+        fit, table = _climb(hist, _trusted(HermiteParams, a=fit.params.a + (0.0,)), tol, max_iter, start)
         yield fit
 
 
@@ -388,7 +388,7 @@ def fit_mle(
     ladder = _ladder(hist, r, tol, max_iter)
     *_, fit = islice(ladder, min(r, max(hist.max_count, 1)))
     if r > fit.params.order:
-        jump = _climb(hist, _trusted_params(fit.params.a + (0.0,) * (r - fit.params.order)), tol, 0)[0]
+        jump = _climb(hist, _trusted(HermiteParams, a=fit.params.a + (0.0,) * (r - fit.params.order)), tol, 0)[0]
         settled = jump.grad_norm < 0.5 * tol * (1.0 + abs(jump.loglik))
         *_, fit = [jump] if settled else ladder
     return fit

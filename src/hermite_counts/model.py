@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -44,7 +45,7 @@ def _ordered(values, name: str, entries: str):
         return values
     if getattr(values, "ndim", None) == 1:
         return values.tolist()
-    raise DomainError(f"{name} must be a sequence of {entries}, got {values!r}")
+    raise DomainError(f"{name} must be a sequence of {entries}, got {reprlib.repr(values)}")
 
 
 def _doubles(values, name: str) -> tuple[float, ...]:
@@ -57,7 +58,7 @@ def _doubles(values, name: str) -> tuple[float, ...]:
     except OverflowError:  # an integer beyond the double range
         raise DomainError(f"an entry of {name} is beyond the double range") from None
     except (TypeError, ValueError):  # an entry float() refuses, such as None, a list or "a"
-        raise DomainError(f"{name} must be a sequence of real numbers, got {values!r}") from None
+        raise DomainError(f"{name} must be a sequence of real numbers, got {reprlib.repr(values)}") from None
 
 
 def _real(value, name: str, interval: str = "(-inf, inf)") -> float:
@@ -130,13 +131,14 @@ class HermiteParams:
         return all(x == 0.0 for x in self.a)
 
 
-def _trusted_params(a: tuple[float, ...]) -> HermiteParams:
-    """HermiteParams holding ``a`` without the checks: for a non-empty tuple
-    of finite floats >= 0 that the package computed itself, which the
-    checks would hand back as it is."""
-    params = object.__new__(HermiteParams)
-    object.__setattr__(params, "a", a)
-    return params
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` without
+    its checks: for values the package computed itself, which the checks
+    would hand back as they are."""
+    value = object.__new__(cls)
+    for name, field in fields.items():
+        object.__setattr__(value, name, field)
+    return value
 
 
 @dataclass(frozen=True, slots=True)

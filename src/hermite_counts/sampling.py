@@ -47,10 +47,9 @@ lazily: each accumulation stops at the first entry above its uniform.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 from .errors import DataError, OverflowGuard
 from .model import HermiteParams, _check_thinning_fraction, _ordered, _real, _whole
@@ -120,7 +119,7 @@ def derive_seed(seed: int, stream: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class SampleBatch:
-    """Realized draws plus the seed that produced them."""
+    """Realized draws plus the seed that produced them, kept unchecked: _counts reads them."""
 
     values: tuple[int, ...]
     seed: int
@@ -129,12 +128,10 @@ class SampleBatch:
         return len(self.values)
 
     def mean(self) -> float:
-        if not self.values:
+        counts = _counts(self.values).tolist()  # each below 2**63, so the exact sum / len is a double
+        if not counts:
             raise DataError("an empty batch has no mean")
-        try:
-            return sum(self.values) / len(self.values)
-        except OverflowError:
-            raise OverflowGuard("the batch mean leaves the double range") from None
+        return sum(counts) / len(counts)
 
 
 def _atkinson(rate: float) -> tuple:
@@ -550,35 +547,35 @@ def _thin_chunk(x: np.ndarray, p: float, seed: int, used: int) -> tuple[np.ndarr
     return thinned, end
 
 
-def _trial_counts(block: Sequence[int]) -> np.ndarray:
-    """``block`` as int64 counts; the first that is not a whole number in
-    [0, 2**63) is refused, as in a nested block or one numpy cannot read."""
+def _counts(values) -> np.ndarray:
+    """The one reader of a batch's counts: ``values``, read by _ordered, as a
+    new int64 array; the first entry that is not a whole number in [0, 2**63),
+    as in a nested batch or one numpy cannot read, is refused by _whole."""
     import numpy as np
 
+    ordered = _ordered(values, "batch values", "whole numbers")
     try:
-        x = np.asarray(block)
+        x = np.array(ordered)  # a copy, which thin_sample thins in place, even of an array.array
     except ValueError:  # ragged, such as [[1], [1, 2]]
         x = None
     if x is None or x.ndim != 1 or x.dtype.kind not in "bi" or (x < 0).any():
-        x = np.array([_whole(v, "trial count", 0, 2**63 - 1) for v in block], dtype=np.int64)
+        x = np.array([_whole(v, "trial count", 0, 2**63 - 1) for v in ordered], dtype=np.int64)
     return x.astype(np.int64, copy=False)
 
 
-def _thin_blocks(blocks: Iterable[Sequence[int]], p: float, seed: int) -> Iterator[Sequence[int]]:
-    """Check ``p`` now; return the blocks of counts thinned in turn, as
-    sample_binomial thins them one by one with one SplitMix64(seed).  At
-    p = 1 every count is kept: each block is checked and handed back as is."""
+def _thin_blocks(blocks: Iterable[np.ndarray], p: float, seed: int) -> Iterator[np.ndarray]:
+    """Check ``p`` now; return the int64 blocks of counts, from _counts or the
+    sampler and not checked again, thinned in turn as sample_binomial thins
+    them one by one with one SplitMix64(seed); at p = 1, as they are."""
     p = _check_thinning_fraction(p)
+    if p == 1.0:
+        return iter(blocks)
 
-    def thinned() -> Iterator[Sequence[int]]:
+    def thinned() -> Iterator[np.ndarray]:
         used = 0
         for block in blocks:
-            counts = _trial_counts(block)
-            if p == 1.0:
-                yield block
-            else:
-                values, used = _thin_chunk(counts, p, seed, used)
-                yield values.tolist()
+            block, used = _thin_chunk(block, p, seed, used)
+            yield block
 
     return thinned()
 
@@ -587,11 +584,13 @@ def thin_sample(batch: SampleBatch, p: float, seed: int) -> SampleBatch:
     """Binomially subsample every realized count: x -> Binomial(x, p).
 
     The result equals sample_binomial(x, p, rng) applied to each count in
-    turn with one rng = SplitMix64(seed); it is computed in numpy blocks of
-    at most _BLOCK counts and _BLOCK uniforms.  ``batch.values`` must have an
-    order, as the coefficients of ``HermiteParams`` must, and whole counts >= 0.
+    turn with one rng = SplitMix64(seed).  ``batch.values`` is read once, by
+    _counts: ordered as the coefficients of ``HermiteParams``, and whole counts.
+    That int64 copy is thinned in place, _BLOCK counts and uniforms at a time.
     """
     seed = _seed(seed)
-    counts = tuple(_ordered(batch.values, "batch values", "whole numbers"))
-    blocks = (counts[lo : lo + _BLOCK] for lo in range(0, len(counts), _BLOCK))
-    return SampleBatch(values=tuple(chain.from_iterable(_thin_blocks(blocks, p, seed))), seed=seed)
+    counts = _counts(batch.values)
+    starts = range(0, len(counts), _BLOCK)
+    for lo, thinned in zip(starts, _thin_blocks((counts[lo : lo + _BLOCK] for lo in starts), p, seed)):
+        counts[lo : lo + _BLOCK] = thinned
+    return SampleBatch(values=tuple(counts.tolist()), seed=seed)

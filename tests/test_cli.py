@@ -294,6 +294,15 @@ class TestSampleCommand:
         assert (code, out) == (3, "")
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("a", [[1.0, 0.5, 0.25], [40.0, 10.0]], ids=["inversion", "rejection"])
+    def test_thin_one_prints_the_sample(self, tmp_path, capsys, a):
+        # p = 1 keeps every count: each drawn block is written as it is, across block edges
+        model = write_model(tmp_path, order=len(a), a=a)
+        n = str(2 * sampling._BLOCK + 3)
+        plain = run_cli(capsys, "sample", model, "--n", n, "--seed", "5")
+        kept = run_cli(capsys, "sample", model, "--n", n, "--seed", "5", "--thin", "1")
+        assert kept == plain and plain[0] == 0 and plain[1].count("\n") == int(n)
+
     @pytest.mark.parametrize("a", [[1.0, 0.5, 0.25], [40.0, 10.0], [30.5, 2.0]], ids=["inversion", "rejection", "mixed"])
     @pytest.mark.parametrize("thin", [None, 0.5])
     @pytest.mark.parametrize("n", [1, 130])
@@ -383,6 +392,14 @@ class TestThinCommand:
 
 
 class TestConvertCommand:
+    @pytest.mark.parametrize("key", ["a", "kappa"])
+    def test_boolean_order_is_parse_error(self, tmp_path, capsys, key):
+        # true == 1, so a boolean order passed the length check, as no boolean entry does
+        model = write_model(tmp_path, order=True, **{key: [1.0]})
+        code, out, err = run_cli(capsys, "convert", model, "--to", "params")
+        assert (code, out) == (2, "")
+        assert "'order' does not match the length" in err
+
     def test_params_to_cumulants(self, tmp_path, capsys):
         model = write_model(tmp_path, order=2, a=[1.0, 0.5])
         code, out, _ = run_cli(capsys, "convert", model, "--to", "cumulants")

@@ -13,6 +13,7 @@ from hermite_counts import (
     FactorialCumulants,
     HermiteParams,
     OverflowGuard,
+    PmfTable,
     adaptive_pmf,
     factorial_cumulants_to_params,
     hermite2_from_mean_variance,
@@ -64,6 +65,18 @@ class TestHermiteParams:
         # (None,) raised a bare TypeError, and "12" read as the entries (1.0, 2.0)
         with pytest.raises(DomainError, match="must be a sequence of real numbers"):
             cls(entries)
+
+    @pytest.mark.parametrize(
+        "cls, values",
+        [(PmfTable, [1e-6] * 10**5 + [None]), (HermiteParams, list(range(10**5)) + ["x"]),
+         (HermiteParams, set(range(10**5)))],
+        ids=["table-entry", "coefficient", "unordered"],
+    )
+    def test_refusal_of_a_long_vector_is_short(self, cls, values):
+        # the message held the whole argument: 700,052 and 688,937 characters for the first two
+        with pytest.raises(DomainError, match="must be a sequence of real numbers") as refused:
+            cls(values)
+        assert len(str(refused.value)) < 200
 
     def test_all_zero_is_legal_point_mass(self):
         params = HermiteParams((0.0, 0.0))

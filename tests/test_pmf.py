@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pickle
+import reprlib
 import subprocess
 import sys
 from collections.abc import Sequence
@@ -38,7 +39,7 @@ def array_constructor_refusal(values):
     vector rule: a sequence that is not str or bytes, or an object with
     ndim == 1 read through tolist(), each entry read by float(); then the
     table's own checks."""
-    refused = f"probs must be a sequence of real numbers, got {values!r}"
+    refused = f"probs must be a sequence of real numbers, got {reprlib.repr(values)}"
     if isinstance(values, Sequence) and not isinstance(values, (str, bytes)):
         entries = values
     elif getattr(values, "ndim", None) == 1:

@@ -1,5 +1,6 @@
 """Generator portability, reproducibility, and distributional correctness."""
 
+import array
 import hashlib
 import math
 from bisect import bisect_right
@@ -235,7 +236,7 @@ class TestThinSample:
             thin_sample(SampleBatch((-1, 2.5), seed=1), 1.0, seed=1)
         counts = (True, np.int32(70), np.uint64(3), False, 5)
         kept = thin_sample(SampleBatch(counts, seed=0), 1.0, seed=2).values
-        assert kept == counts and [type(x) for x in kept] == [type(x) for x in counts]
+        assert kept == counts and all(type(x) is int for x in kept)
 
     @pytest.mark.parametrize("counts, named", [((3, None), "None"), ((3, "4"), "'4'")], ids=["None", "string"])
     def test_count_that_is_no_number_is_refused_by_name(self, counts, named):
@@ -251,16 +252,20 @@ class TestThinSample:
             (((1, 2),), "trial count must be a whole number in [0, 9223372036854775807], got (1, 2)"),
             ([[1], [1, 2]], "trial count must be a whole number in [0, 9223372036854775807], got [1]"),
             ([[1], [2]], "trial count must be a whole number in [0, 9223372036854775807], got [1]"),
+            ("ab", "batch values must be a sequence of whole numbers, got 'ab'"),
+            ((-1, 2), "trial count must be a whole number in [0, 9223372036854775807], got -1"),
         ],
-        ids=["set", "None", "dict", "nested", "ragged", "one-element-rows"],
+        ids=["set", "None", "dict", "nested", "ragged", "one-element-rows", "string", "negative"],
     )
     def test_malformed_batch_is_refused_by_name(self, values, refusal):
         # a set, None or a dict failed on slicing or len() with a bare TypeError,
         # a nested or ragged batch in numpy with a ValueError, and one-element
-        # rows were thinned as if each were a count
-        with pytest.raises(DomainError) as refused:
-            thin_sample(SampleBatch(values, seed=0), 0.5, seed=1)
-        assert str(refused.value) == refusal
+        # rows were thinned as if each were a count; the batch's mean reads
+        # the counts by the same rule
+        for read in (lambda batch: thin_sample(batch, 0.5, seed=1), SampleBatch.mean):
+            with pytest.raises(DomainError) as refused:
+                read(SampleBatch(values, seed=0))
+            assert str(refused.value) == refusal
 
     def test_empty_batch_has_no_mean(self):
         with pytest.raises(DataError, match="empty"):
@@ -268,8 +273,15 @@ class TestThinSample:
 
     @pytest.mark.parametrize("values", [(10**400,), (-(10**400), 0)], ids=["above", "below"])
     def test_batch_mean_beyond_the_double_range_is_refused(self, values):
-        with pytest.raises(OverflowGuard, match="batch mean"):
+        with pytest.raises(DomainError, match=f"^trial count .* got {values[0]}$"):
             SampleBatch(values, seed=0).mean()
+
+    @pytest.mark.parametrize("container", [lambda x: array.array("q", x), np.array], ids=["array.array", "ndarray"])
+    def test_the_callers_counts_are_left_as_they_are(self, container):
+        # the batch is thinned in place in a copy; numpy would share an array.array's buffer
+        counts = container([5, 70, 3] * 2000)
+        thin_sample(SampleBatch(counts, seed=0), 0.5, seed=1)
+        assert list(counts) == [5, 70, 3] * 2000
 
     def test_bool_and_numpy_integer_counts_thin_as_ints(self):
         counts = (True, np.int32(70), np.uint64(3), False, np.int64(200))
